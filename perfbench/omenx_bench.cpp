@@ -11,7 +11,11 @@
 // per-layer (trace 1) metric set; perfbench/registry.py documents each name.
 //
 // The seed jitters the energy-grid offsets, the gate/Vgs values and the
-// replay sample within fixed ranges; sizes never depend on it.
+// replay sample within fixed ranges; sizes never depend on it.  The run
+// length sets how many calls are timed, through a nominal time per call,
+// so a seed always does the same work and the same checks.  The
+// end-to-end rate and set-up time are process CPU time scaled to a
+// reference host speed measured by host_probe between the timed calls.
 //
 // With trace 1 the driver records spans (name, start, end, parent, request
 // id) around every library call it makes, keeps them in memory, and writes
@@ -21,6 +25,7 @@
 // strategy, the solver device phase and transport::solve_energy_point so a
 // sweep can be split by layer.
 #include <sys/resource.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -68,6 +73,78 @@ double now_s() {
   static const auto t0 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// CPU time of the whole process, every thread included.  The end-to-end
+/// rates and set-up time are per CPU-second: a closed-loop call's CPU time
+/// is the work it did, and unlike its wall time it does not grow when
+/// other tenants of a shared host take the cores.
+double cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// Wall and CPU time since construction.
+struct Stopwatch {
+  double wall0 = now_s();
+  double cpu0 = cpu_s();
+  double wall() const { return now_s() - wall0; }
+  double cpu() const { return cpu_s() - cpu0; }
+};
+
+/// Adds the wall and CPU time of its scope to two totals, on every path out.
+struct Accumulate {
+  double& wall;
+  double& cpu;
+  Stopwatch sw;
+  ~Accumulate() {
+    wall += sw.wall();
+    cpu += sw.cpu();
+  }
+};
+
+// ------------------------------------------------------------ host probe --
+
+/// Speed of the host right now: a fixed naive complex matrix product of
+/// the benchmark's own (no library code), run once on every hardware
+/// thread, in GFLOP per CPU-second.  On a shared host even CPU time drifts
+/// by tens of percent within minutes as other tenants load the machine;
+/// this probe drifts with it, so the end-to-end times are scaled by the
+/// run's median probe rate against kReferenceProbeGflops.
+constexpr double kReferenceProbeGflops = 4.0;
+
+double host_probe() {
+  constexpr int n = 32, reps = 120;
+  const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<double> sink(threads, 0.0);
+  const double c0 = cpu_s();
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < threads; ++t)
+    pool.emplace_back([&sink, t] {
+      std::vector<cplx> a(n * n), b(n * n), c(n * n);
+      for (int i = 0; i < n * n; ++i) {
+        a[i] = cplx(1.0 + 1e-3 * i, 0.5 - 1e-4 * i);
+        b[i] = cplx(0.25 + 1e-4 * (i + t), -1e-3 * i);
+      }
+      for (int r = 0; r < reps; ++r) {
+        for (int i = 0; i < n; ++i)
+          for (int j = 0; j < n; ++j) {
+            cplx acc = 0.0;
+            for (int k = 0; k < n; ++k) acc += a[i * n + k] * b[k * n + j];
+            c[i * n + j] = acc;
+          }
+        a.swap(c);
+        a[0] *= 1e-3;
+      }
+      sink[t] = std::abs(a[0]);
+    });
+  for (auto& th : pool) th.join();
+  const double dt = cpu_s() - c0;
+  volatile double keep = sink[0];
+  (void)keep;
+  return 8.0 * n * n * n * reps * threads / dt * 1e-9;
 }
 
 /// Linear-interpolated quantile (q in [0, 1]); 0 for an empty sample.
@@ -232,6 +309,19 @@ struct Run {
     return lo + (hi - lo) * u;
   }
   bool traced() const { return tracer.enabled(); }
+  std::vector<double> host;  ///< host_probe samples, GFLOP per CPU-second
+  /// `samples` probes in a row: one takes ~10 ms and scatters by +-15 %,
+  /// so a run needs some tens of them for a steady median.
+  void probe(int samples = 1) {
+    for (int i = 0; i < samples; ++i) host.push_back(host_probe());
+  }
+  /// Timed calls in a run: the run length over the nominal time of one
+  /// call on a 4-vCPU host, at least `min_calls`.  The count never reads a
+  /// clock, so a seed always does the same work and the same checks.
+  int calls(double nominal_call_s, int min_calls) const {
+    return std::max(min_calls,
+                    static_cast<int>(std::lround(seconds / nominal_call_s)));
+  }
 };
 
 bool is_finite(double x) { return std::isfinite(x); }
@@ -701,16 +791,25 @@ long check_spectrum(Run& run, const omen::Spectrum& sp, bool pristine) {
   return bad;
 }
 
+/// CPU and wall time of every Simulator construction in a run.
+struct Setup {
+  std::vector<double> cpu, wall;
+  void report(Run& run) const {
+    run.m["setup_cpu_s"] = median(cpu);
+    run.m["setup_wall_s"] = median(wall);
+  }
+};
+
 std::unique_ptr<omen::Simulator> make_simulator(
-    Run& run, const omen::SimulationConfig& cfg,
-    std::vector<double>& setup_times) {
-  const double t0 = now_s();
+    Run& run, const omen::SimulationConfig& cfg, Setup& setup) {
+  const Stopwatch sw;
   std::unique_ptr<omen::Simulator> sim;
   {
     const Scope span(run.tracer, "omen.Simulator");
     sim = std::make_unique<omen::Simulator>(cfg);
   }
-  setup_times.push_back(now_s() - t0);
+  setup.cpu.push_back(sw.cpu());
+  setup.wall.push_back(sw.wall());
   return sim;
 }
 
@@ -721,16 +820,37 @@ double peak_rss_mb() {
 }
 
 /// Timing samples of a loop whose odd iterations record spans in a traced
-/// run: the untraced samples give the end-to-end figure, and the ratio of
-/// the two medians is the tracing overhead.
+/// run: the untraced samples give the end-to-end figures (work per
+/// CPU-second, and per wall second as context), and the ratio of the two
+/// CPU-time medians is the tracing overhead.
 struct Timed {
-  std::vector<double> plain, traced;
-  void add(bool with_spans, double seconds) {
-    (with_spans ? traced : plain).push_back(seconds);
+  std::vector<double> plain, plain_cpu, traced_cpu;
+  void add(bool with_spans, double wall, double cpu) {
+    if (with_spans) {
+      traced_cpu.push_back(cpu);
+    } else {
+      plain.push_back(wall);
+      plain_cpu.push_back(cpu);
+    }
+  }
+  void add(bool with_spans, const Stopwatch& sw) {
+    add(with_spans, sw.wall(), sw.cpu());
+  }
+  std::size_t size() const { return plain.size() + traced_cpu.size(); }
+  /// points_per_cpu_s and points_per_s: medians over the untraced calls of
+  /// `work` units each.
+  void report_rates(Run& run, double work) const {
+    std::vector<double> cpu_rates, wall_rates;
+    for (const double dt : plain_cpu) cpu_rates.push_back(work / dt);
+    for (const double dt : plain) wall_rates.push_back(work / dt);
+    run.m["points_per_cpu_s"] = median(cpu_rates);
+    run.m["points_per_s"] = median(wall_rates);
+    print_rates("points per CPU-second per call", cpu_rates);
+    print_rates("points per wall second per call", wall_rates);
   }
   void report_overhead(Run& run) const {
     if (!run.traced()) return;
-    const double p = median(plain), t = median(traced);
+    const double p = median(plain_cpu), t = median(traced_cpu);
     run.m["trace.overhead_frac"] = p > 0 && t > 0 ? t / p - 1.0 : 0.0;
   }
 };
@@ -762,7 +882,9 @@ void wire_gate_sweep(Run& run) {
         poisson::solve_device_potential(regions, vgs, 0.0, {}, popts));
   }
 
-  std::vector<double> setup;
+  // One construction: at 13-18 CPU-seconds a second one does not fit the
+  // run budget.
+  Setup setup;
   auto sim = make_simulator(run, cfg, setup);
   {
     const Scope span(run.tracer, "omen.transmission_spectrum");
@@ -773,24 +895,25 @@ void wire_gate_sweep(Run& run) {
   EngineAcc acc;
   Window win;
   Timed timed;
-  const double start = now_s();
-  for (int j = 0; j < 2 || now_s() - start < run.seconds; ++j) {
+  const int spectra = run.calls(1.2, 5);
+  run.probe(8);
+  for (int j = 0; j < spectra; ++j) {
     const auto& pot = barriers[static_cast<std::size_t>(j) % barriers.size()];
     const bool spans = run.traced() && j % 2 == 1;
     const auto m0 = Window::mark(*sim);
     const int id =
         spans ? run.tracer.begin("omen.transmission_spectrum", j) : -1;
-    const double t0 = now_s();
+    const Stopwatch sw;
     omen::Spectrum sp;
     try {
       sp = sim->transmission_spectrum(grid, &pot);
     } catch (const std::exception& e) {
       run.checks.op(false, std::string("spectrum threw: ") + e.what());
     }
-    const double dt = now_s() - t0;
     run.tracer.end(id);
     if (sp.transmission.empty()) continue;
-    timed.add(spans, dt);
+    timed.add(spans, sw);
+    run.probe(8);
     acc.add(sim->last_sweep_stats());
     win.add(m0, Window::mark(*sim), static_cast<double>(grid.size()));
     check_spectrum(run, sp, false);
@@ -798,15 +921,12 @@ void wire_gate_sweep(Run& run) {
   check_point(run, *sim, grid[static_cast<std::size_t>(run.uniform(0, 16))],
               &barriers.back(), false);
 
-  std::vector<double> rates;
-  for (const double dt : timed.plain) rates.push_back(grid.size() / dt);
-  run.m["setup_s"] = median(setup);
-  run.m["points_per_s"] = median(rates);
-  print_rates("points/s per warm spectrum", rates);
-  std::printf("wire_gate_sweep: N_SS = %ld, %zu energies x %zu spectra, "
+  setup.report(run);
+  timed.report_rates(run, static_cast<double>(grid.size()));
+  std::printf("wire_gate_sweep: N_SS = %ld, %zu energies x %zu warm spectra, "
               "barrier peaks %.3f..%.3f eV\n",
               static_cast<long>(sim->hamiltonian_dimension()), grid.size(),
-              timed.plain.size() + timed.traced.size(),
+              timed.size(),
               *std::max_element(barriers.front().begin(),
                                 barriers.front().end()),
               *std::max_element(barriers.back().begin(),
@@ -841,16 +961,16 @@ void kgrid_cold(Run& run) {
   if (run.traced()) roofline(run, 24);
 
   constexpr int kEnergies = 48, kSpectraPerSim = 6;
-  std::vector<double> setup;
+  Setup setup;
   EngineAcc acc;
   Window win;
   Timed timed;
   double edge = 0.0;
   std::vector<double> last_grid;
   std::unique_ptr<omen::Simulator> sim;
-  const double start = now_s();
+  const int simulators = run.calls(0.8, 2);
   int spectra = 0;
-  while (spectra < 2 * kSpectraPerSim || now_s() - start < run.seconds) {
+  for (int n = 0; n < simulators; ++n) {
     sim = make_simulator(run, cfg, setup);
     if (spectra == 0)
       edge = transport::lowest_band_above(sim->bands(21), 0.0);
@@ -864,17 +984,17 @@ void kgrid_cold(Run& run) {
       const int id =
           spans ? run.tracer.begin("omen.transmission_spectrum", spectra)
                 : -1;
-      const double t0 = now_s();
+      const Stopwatch sw;
       omen::Spectrum sp;
       try {
         sp = sim->transmission_spectrum(grid);
       } catch (const std::exception& e) {
         run.checks.op(false, std::string("spectrum threw: ") + e.what());
       }
-      const double dt = now_s() - t0;
       run.tracer.end(id);
       if (sp.transmission.empty()) continue;
-      timed.add(spans, dt);
+      timed.add(spans, sw);
+      run.probe();
       acc.add(sim->last_sweep_stats());
       win.add(m0, Window::mark(*sim),
               static_cast<double>(sim->last_sweep_stats().tasks_total));
@@ -885,16 +1005,13 @@ void kgrid_cold(Run& run) {
                 last_grid[static_cast<std::size_t>(run.uniform(0, kEnergies))],
                 nullptr, true);
   }
-  std::vector<double> rates;
-  for (const double dt : timed.plain)
-    rates.push_back(static_cast<double>(cfg.num_k * kEnergies) / dt);
-  run.m["setup_s"] = median(setup);
-  run.m["points_per_s"] = median(rates);
-  print_rates("points/s per cold spectrum", rates);
+  setup.report(run);
+  timed.report_rates(run, static_cast<double>(cfg.num_k * kEnergies));
   std::printf("kgrid_cold: N_SS = %ld, %ld k x %d energies x %d spectra on "
               "%zu simulators\n",
               static_cast<long>(sim->hamiltonian_dimension()),
-              static_cast<long>(cfg.num_k), kEnergies, spectra, setup.size());
+              static_cast<long>(cfg.num_k), kEnergies, spectra,
+              setup.cpu.size());
   acc.report(run.m);
   win.report(run.m);
   timed.report_overhead(run);
@@ -952,10 +1069,7 @@ void fet_iv_campaign(Run& run) {
   const double grid_offset = run.uniform(0.0, 1e-4);
   const std::vector<double> vds_values{0.05, 0.2};
 
-  std::vector<double> setup;
-  // The chain's set-up takes well under a millisecond: construct it
-  // repeatedly so its median is steady.
-  for (int i = 0; i < 25; ++i) make_simulator(run, cfg, setup);
+  Setup setup;
   std::vector<double> grid;
   double mu_s = 0.0;
   {
@@ -986,39 +1100,49 @@ void fet_iv_campaign(Run& run) {
   Window win;
   Timed timed;
   Tracer off(false);
-  // Per drain bias: engine tasks / seconds of every charge evaluation.
+  // Per drain bias: engine tasks per CPU-second and per wall second of
+  // every untraced charge evaluation.
+  std::vector<std::vector<double>> eval_cpu_rates(vds_values.size());
   std::vector<std::vector<double>> eval_rates(vds_values.size());
   std::vector<double> charge_t, first_family_currents;
   double poisson_self = 0.0, poisson_iters = 0.0, poisson_unconverged = 0.0;
-  const double start = now_s();
+  const int families = run.calls(3.0, 2);
   int pairs = 0;
   int request = 0;
-  for (; pairs < (run.traced() ? 2 : 1) || now_s() - start < run.seconds;
-       ++pairs) {
+  for (; pairs < families; ++pairs) {
     const bool spans = run.traced() && pairs % 2 == 1;
     Tracer& tracer = spans ? run.tracer : off;
-    double pair_time = 0.0;
+    double pair_time = 0.0, pair_cpu = 0.0;
     int pair_iters = 0;
     for (std::size_t b = 0; b < vds_values.size(); ++b) {
       const double vds = vds_values[b];
       const double mu_d = mu_s - vds;
       auto sim = make_simulator(run, cfg, setup);
       const auto m0 = Window::mark(*sim);
-      const double t0 = now_s();
       std::vector<double> warm, warm_charge;
       for (const double vg : vgs) {
+        // The chain's set-up takes well under a millisecond: construct it
+        // repeatedly, spread over the run like the timed calls, so its
+        // median is steady.
+        for (int i = 0; i < 8; ++i) make_simulator(run, cfg, setup);
+        run.probe(2);
+        const Accumulate point{pair_time, pair_cpu};
         double charge_time = 0.0;
         const poisson::ChargeModel charge = [&](const std::vector<double>& v) {
           const Scope span(tracer, "charge.charge_density");
-          const double c0 = now_s();
+          const Stopwatch sw;
           auto rho = sim->charge_density(grid, mu_s, mu_d, &v, scf.quadrature,
                                          scf.quadrature_options);
-          const double dt = now_s() - c0;
+          const double dt = sw.wall(), dt_cpu = sw.cpu();
           charge_t.push_back(dt);
           charge_time += dt;
           const auto& st = sim->last_sweep_stats();
           acc.add(st);
-          eval_rates[b].push_back(static_cast<double>(st.tasks_total) / dt);
+          if (!spans) {
+            const double tasks = static_cast<double>(st.tasks_total);
+            eval_rates[b].push_back(tasks / dt);
+            eval_cpu_rates[b].push_back(tasks / dt_cpu);
+          }
           return rho;
         };
         const int root =
@@ -1064,11 +1188,10 @@ void fet_iv_campaign(Run& run) {
           if (b + 1 == vds_values.size()) first_family_currents.push_back(current);
         }
       }
-      pair_time += now_s() - t0;
       win.add(m0, Window::mark(*sim),
               static_cast<double>(sim->total_tasks_issued()));
     }
-    timed.add(spans, pair_time);
+    timed.add(spans, pair_time, pair_cpu);
     if (pairs == 0) run.m["scf_iterations"] = pair_iters;
     std::printf("I-V family %d%s: %.3f s, %d SCF iterations\n", pairs,
                 spans ? " (traced)" : "", pair_time, pair_iters);
@@ -1076,10 +1199,19 @@ void fet_iv_campaign(Run& run) {
   // Per-evaluation rates are medians per drain bias, combined by geometric
   // mean, so the seed-dependent share of iterations at each bias (an
   // unconverged point adds 200 evaluations at one Vds) does not move it.
-  double log_rate = 0.0;
-  for (const auto& r : eval_rates) log_rate += std::log(median(r));
-  run.m["setup_s"] = median(setup);
-  run.m["points_per_s"] = std::exp(log_rate / eval_rates.size());
+  const auto geomean_of_medians =
+      [](const std::vector<std::vector<double>>& rates) {
+        double log_rate = 0.0;
+        for (const auto& r : rates) log_rate += std::log(median(r));
+        return std::exp(log_rate / static_cast<double>(rates.size()));
+      };
+  setup.report(run);
+  run.m["points_per_cpu_s"] = geomean_of_medians(eval_cpu_rates);
+  run.m["points_per_s"] = geomean_of_medians(eval_rates);
+  print_rates("tasks per CPU-second per charge evaluation, Vds = 0.05 V",
+              eval_cpu_rates[0]);
+  print_rates("tasks per CPU-second per charge evaluation, Vds = 0.2 V",
+              eval_cpu_rates[1]);
   print_rates("tasks/s per charge evaluation, Vds = 0.05 V", eval_rates[0]);
   print_rates("tasks/s per charge evaluation, Vds = 0.2 V", eval_rates[1]);
   run.m["iv_s"] = median(timed.plain);
@@ -1151,7 +1283,7 @@ void wire_dephasing(Run& run) {
   const std::vector<double> ramp{0.02, 0.05, 0.1, 0.2};
   const double grid_offset = run.uniform(0.0, 0.005);
 
-  std::vector<double> setup, rates;
+  Setup setup;
   EngineAcc acc;
   Window win;
   Timed timed;
@@ -1159,9 +1291,9 @@ void wire_dephasing(Run& run) {
   std::vector<double> grid;
   double mu = 0.0;
   std::unique_ptr<omen::Simulator> sim;
-  const double start = now_s();
+  const int ramps = run.calls(0.25, 2);
   int units = 0;
-  for (; units < 2 || now_s() - start < run.seconds; ++units) {
+  for (; units < ramps; ++units) {
     sim = make_simulator(run, cfg, setup);
     if (grid.empty()) {
       const double edge = transport::lowest_band_above(sim->bands(21), 0.0);
@@ -1170,11 +1302,11 @@ void wire_dephasing(Run& run) {
         grid.push_back(edge + 0.01 + 0.5 * i / kEnergies + grid_offset);
     }
     const bool spans = run.traced() && units % 2 == 1;
-    double unit_time = 0.0;
+    double unit_time = 0.0, unit_cpu = 0.0;
     for (const double vds : ramp) {
       const auto m0 = Window::mark(*sim);
       const int id = spans ? run.tracer.begin("omen.terminal_currents") : -1;
-      const double t0 = now_s();
+      const Stopwatch sw;
       std::vector<double> currents;
       try {
         currents = sim->terminal_currents(
@@ -1183,7 +1315,8 @@ void wire_dephasing(Run& run) {
         run.checks.op(false, std::string("terminal_currents threw: ") +
                                  e.what());
       }
-      unit_time += now_s() - t0;
+      unit_time += sw.wall();
+      unit_cpu += sw.cpu();
       run.tracer.end(id);
       acc.add(sim->last_sweep_stats());
       win.add(m0, Window::mark(*sim), static_cast<double>(grid.size()));
@@ -1210,14 +1343,11 @@ void wire_dephasing(Run& run) {
                         balance <= 1e-10 && scale > 0,
                     what);
     }
-    timed.add(spans, unit_time);
-    if (!spans)
-      rates.push_back(static_cast<double>(ramp.size() * grid.size()) /
-                      unit_time);
+    timed.add(spans, unit_time, unit_cpu);
+    run.probe(2);
   }
-  run.m["setup_s"] = median(setup);
-  run.m["points_per_s"] = median(rates);
-  print_rates("points/s per Vds ramp", rates);
+  setup.report(run);
+  timed.report_rates(run, static_cast<double>(ramp.size() * grid.size()));
   std::printf("wire_dephasing: N_SS = %ld, %zu probes, %zu Vds x %d energies "
               "x %d ramps, max probe leak %.2e\n",
               static_cast<long>(sim->hamiltonian_dimension()),
@@ -1296,6 +1426,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   run.m["peak_rss_mb"] = peak_rss_mb();
+  // End-to-end times at the reference host speed (see host_probe).
+  const double probe = median(run.host);
+  const double speed = probe / kReferenceProbeGflops;
+  run.m["host.probe_gflops"] = probe;
+  run.m["points_per_ref_cpu_s"] = run.m["points_per_cpu_s"] / speed;
+  run.m["setup_s"] = run.m["setup_cpu_s"] * speed;
   if (run.traced()) run.m["trace.spans"] = static_cast<double>(run.tracer.size());
   run.tracer.write(trace_file, run.workload, run.seed);
 

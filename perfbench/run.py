@@ -79,9 +79,12 @@ def run(args):
     trace_file = traces / f"{args.workload}-seed{args.seed}.json"
     cmd = [str(binary), args.workload, str(args.seed), str(args.seconds),
            str(args.trace), str(trace_file)]
+    # Idle OpenMP workers sleep instead of spinning, so the CPU time the
+    # driver reports is work done, not waiting.
+    env = dict(os.environ, OMP_WAIT_POLICY="PASSIVE")
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=RUN_TIMEOUT_S, cwd=REPO_ROOT)
+                              timeout=RUN_TIMEOUT_S, cwd=REPO_ROOT, env=env)
     except subprocess.TimeoutExpired:
         fail(f"workload {args.workload} exceeded {RUN_TIMEOUT_S} s")
     sys.stderr.write(proc.stderr)
