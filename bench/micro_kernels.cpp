@@ -1,9 +1,11 @@
 // Kernel microbenchmarks: the primitives behind SplitSolve (zgemm,
 // zgesv-like LU, RGF sweeps) plus the end-to-end energy-sweep pipeline.
 //
-// Every section measures the seed-era reference implementation against the
-// current packed/blocked kernels and prints GFLOP/s (or points/s) for both,
-// so the performance trajectory of the repository is recorded run over run.
+// The GEMM, LU and sweep sections measure the seed-era reference
+// implementation against the current packed/blocked kernels and print
+// GFLOP/s (or points/s) for both; the Hermitian eigensolver section records
+// values-only and with-vectors times.  The performance trajectory of the
+// repository is thus recorded run over run.
 // Results are also written as BENCH_kernels.json in the working directory.
 #include <algorithm>
 #include <cstdio>
@@ -14,6 +16,7 @@
 #include "blockmat/block_tridiag.hpp"
 #include "dft/hamiltonian.hpp"
 #include "numeric/blas.hpp"
+#include "numeric/eig.hpp"
 #include "numeric/lu.hpp"
 #include "parallel/thread_pool.hpp"
 #include "solvers/rgf.hpp"
@@ -158,6 +161,28 @@ int main() {
     first = false;
   }
   json += "\n  ],\n";
+
+  benchutil::header("Hermitian eigensolver at the folded-lead size");
+  {
+    // n = 120 is the d = 0.4 nm wire's supercell: the lead band structure
+    // asks for values only, one call per k point.
+    const idx n = 120;
+    const CMatrix r = numeric::random_cmatrix(n, n, 6);
+    const CMatrix a = r + numeric::dagger(r);
+    const double t_values = time_seconds(
+        [&] { benchutil::consume(numeric::hermitian_eig(a, false).values.data()); },
+        10);
+    const double t_vectors = time_seconds(
+        [&] { benchutil::consume(numeric::hermitian_eig(a).vectors.data()); },
+        10);
+    std::printf("n=%lld: values only %.3f ms, with vectors %.3f ms\n",
+                (long long)n, t_values * 1e3, t_vectors * 1e3);
+    benchutil::JsonWriter w("%.4f");
+    w.field("n", double(n));
+    w.field("values_ms", t_values * 1e3);
+    w.field("vectors_ms", t_vectors * 1e3, true);
+    json += "  \"hermitian_eig\": {" + w.body + "},\n";
+  }
 
   benchutil::header("RGF block columns (SplitSolve Algorithm 1)");
   {

@@ -161,20 +161,26 @@ LeadBlocks build_tb_lead_blocks(const lattice::Structure& structure) {
   return out;
 }
 
+idx device_block_count(const LeadBlocks& lead, idx num_cells) {
+  const idx fold = std::max<idx>(1, lead.nbw());
+  if (num_cells % fold != 0)
+    throw std::invalid_argument(
+        "assemble_device: num_cells must be divisible by NBW (fold factor)");
+  const idx nbf = num_cells / fold;
+  if (nbf < 2)
+    throw std::invalid_argument("assemble_device: need at least 2 supercells");
+  return nbf;
+}
+
 DeviceMatrices assemble_device(const LeadBlocks& lead, idx num_cells,
                                const std::vector<double>& cell_potential) {
   const idx nbw = lead.nbw();
   const idx s = lead.block_dim();
   const idx fold = std::max<idx>(1, nbw);
-  if (num_cells % fold != 0)
-    throw std::invalid_argument(
-        "assemble_device: num_cells must be divisible by NBW (fold factor)");
+  const idx nbf = device_block_count(lead, num_cells);
   if (static_cast<idx>(cell_potential.size()) != num_cells)
     throw std::invalid_argument(
         "assemble_device: cell_potential must have one entry per cell");
-  const idx nbf = num_cells / fold;
-  if (nbf < 2)
-    throw std::invalid_argument("assemble_device: need at least 2 supercells");
   const idx sf = s * fold;
 
   DeviceMatrices out;

@@ -70,6 +70,12 @@ struct DeviceMatrices {
 DeviceMatrices assemble_device(const LeadBlocks& lead, idx num_cells,
                                const std::vector<double>& cell_potential);
 
+/// Supercell (block) count of the device assemble_device builds from
+/// `num_cells` physical cells: num_cells / max(1, NBW).  Throws
+/// std::invalid_argument, as assemble_device does, unless the fold factor
+/// divides num_cells and leaves at least 2 supercells.
+idx device_block_count(const LeadBlocks& lead, idx num_cells);
+
 /// Folded (block-tridiagonal) lead matrices: onsite and coupling blocks of
 /// the supercell representation, used by the OBC solvers.
 struct FoldedLead {

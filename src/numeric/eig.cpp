@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -333,68 +335,241 @@ EigResult shift_invert_eig(const CMatrix& a, const CMatrix& b, cplx sigma,
   return out;
 }
 
-HermEigResult hermitian_eig(const CMatrix& a_in, double tol) {
+namespace {
+
+// Householder reduction of a Hermitian matrix to tridiagonal form:
+// T = Q^H A Q with Q = H_0 H_1 ... H_{n-3} and H_k = I - 2 v_k v_k^H acting
+// on indices k+1..n-1.  Works in place on the upper triangle of `a` (the
+// strictly lower triangle is never read).  On return d = diag(T) and
+// t[k] = T(k+1, k), complex.  When `reflectors` is non-null, row k receives
+// v_k in columns k+1..n-1 (left zero where column k needed no reflection).
+void householder_tridiagonal(CMatrix& a, std::vector<double>& d_out,
+                             std::vector<cplx>& t_out, CMatrix* reflectors) {
+  const idx n = a.rows();
+  std::vector<cplx> v_buf(static_cast<std::size_t>(n));
+  std::vector<cplx> w_buf(static_cast<std::size_t>(n));
+  cplx* const v = v_buf.data();
+  cplx* const w = w_buf.data();
+  cplx* const t = t_out.data();
+  for (idx k = 0; k + 2 < n; ++k) {
+    const cplx* ak = a.row_ptr(k);
+    // Column k below the diagonal: x_j = conj(a(k, j)), j = k+1..n-1.
+    double tail = 0.0;
+    for (idx j = k + 2; j < n; ++j) tail += std::norm(ak[j]);
+    const cplx x0 = std::conj(ak[k + 1]);
+    if (tail == 0.0) {
+      t[k] = x0;
+      continue;
+    }
+    // H x = alpha e1 with alpha = -phase(x0) |x|; v = (x - alpha e1) / norm,
+    // whose leading entry phase(x0) (|x0| + |x|) cannot cancel.
+    const double ax0 = std::abs(x0);
+    const double xnorm = std::sqrt(ax0 * ax0 + tail);
+    const cplx phase = ax0 > 0.0 ? x0 / ax0 : cplx{1.0};
+    t[k] = -xnorm * phase;
+    const double lead = ax0 + xnorm;
+    const double inv = 1.0 / std::sqrt(lead * lead + tail);
+    v[k + 1] = (lead * inv) * phase;
+    for (idx j = k + 2; j < n; ++j) v[j] = inv * std::conj(ak[j]);
+
+    // w = A22 v from the upper triangle of the trailing block.
+    std::fill(w + k + 1, w + n, cplx{0.0});
+    for (idx i = k + 1; i < n; ++i) {
+      const cplx* ai = a.row_ptr(i);
+      const double vr = v[i].real(), vi = v[i].imag();
+      double sr = ai[i].real() * vr, si = ai[i].real() * vi;
+      for (idx j = i + 1; j < n; ++j) {
+        const double ar = ai[j].real(), am = ai[j].imag();
+        sr += ar * v[j].real() - am * v[j].imag();  // a_ij v_j
+        si += ar * v[j].imag() + am * v[j].real();
+        w[j] += cplx{ar * vr + am * vi, ar * vi - am * vr};  // conj(a_ij) v_i
+      }
+      w[i] += cplx{sr, si};
+    }
+    // With K = v^H w (real), w <- 2w - 2Kv gives H A22 H = A22 - v w^H - w v^H.
+    double kdot = 0.0;
+    for (idx i = k + 1; i < n; ++i)
+      kdot += v[i].real() * w[i].real() + v[i].imag() * w[i].imag();
+    for (idx i = k + 1; i < n; ++i) w[i] = 2.0 * w[i] - (2.0 * kdot) * v[i];
+    for (idx i = k + 1; i < n; ++i) {
+      cplx* ai = a.row_ptr(i);
+      const double vr = v[i].real(), vi = v[i].imag();
+      const double wr = w[i].real(), wi = w[i].imag();
+      for (idx j = i; j < n; ++j) {
+        // a_ij -= v_i conj(w_j) + w_i conj(v_j)
+        ai[j] -= cplx{vr * w[j].real() + vi * w[j].imag() +
+                          wr * v[j].real() + wi * v[j].imag(),
+                      vi * w[j].real() - vr * w[j].imag() +
+                          wi * v[j].real() - wr * v[j].imag()};
+      }
+    }
+    if (reflectors != nullptr)
+      std::copy(v + k + 1, v + n, reflectors->row_ptr(k) + k + 1);
+  }
+  if (n >= 2) t[n - 2] = std::conj(a(n - 2, n - 1));
+  for (idx i = 0; i < n; ++i) d_out[static_cast<std::size_t>(i)] = a(i, i).real();
+}
+
+// Q^T for Q = H_0 H_1 ... H_{n-3}, accumulated backwards so that step k
+// only touches the trailing block: X <- X H_k^T = X (I - 2 conj(v_k) v_k^T).
+CMatrix householder_q_transposed(const CMatrix& reflectors) {
+  const idx n = reflectors.rows();
+  CMatrix x = CMatrix::identity(n);
+  for (idx k = n - 3; k >= 0; --k) {
+    const cplx* v = reflectors.row_ptr(k);
+    if (v[k + 1] == cplx{0.0}) continue;  // H_k = I
+    for (idx i = k + 1; i < n; ++i) {
+      cplx* xi = x.row_ptr(i);
+      double sr = 0.0, si = 0.0;  // 2 x_i . conj(v)
+      for (idx j = k + 1; j < n; ++j) {
+        sr += xi[j].real() * v[j].real() + xi[j].imag() * v[j].imag();
+        si += xi[j].imag() * v[j].real() - xi[j].real() * v[j].imag();
+      }
+      sr *= 2.0;
+      si *= 2.0;
+      for (idx j = k + 1; j < n; ++j)
+        xi[j] -= cplx{sr * v[j].real() - si * v[j].imag(),
+                      sr * v[j].imag() + si * v[j].real()};
+    }
+  }
+  return x;
+}
+
+constexpr int kMaxQlIterations = 30;  // per eigenvalue, as in LAPACK's steqr
+
+// Implicit QL with Wilkinson shifts on the real symmetric tridiagonal with
+// diagonal d and off-diagonal e[k] = T(k+1, k), e[n-1] = 0 (the EISPACK
+// tql2 recurrence).  Eigenvalues overwrite d, unordered.  Each plane
+// rotation on columns (i, i+1) of the eigenvector matrix V is applied to
+// rows (i, i+1) of `vt` = V^T when it is non-null.  Returns the number of
+// rotations; throws std::runtime_error when an eigenvalue needs more than
+// kMaxQlIterations.
+std::uint64_t tridiagonal_ql(std::vector<double>& d_io,
+                             std::vector<double>& e_io, CMatrix* vt) {
+  const idx n = static_cast<idx>(d_io.size());
+  double* const d = d_io.data();
+  double* const e = e_io.data();
+  const double eps = std::numeric_limits<double>::epsilon();
+  std::uint64_t rotations = 0;
+  for (idx l = 0; l < n; ++l) {
+    int iter = 0;
+    idx m = l;
+    do {
+      for (m = l; m + 1 < n; ++m)
+        if (std::abs(e[m]) <= eps * (std::abs(d[m]) + std::abs(d[m + 1])))
+          break;
+      if (m == l) break;
+      if (++iter > kMaxQlIterations)
+        throw std::runtime_error(
+            "hermitian_eig: QL iteration failed to converge");
+      double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+      double r = std::hypot(g, 1.0);
+      g = d[m] - d[l] + e[l] / (g + std::copysign(r, g));
+      double s = 1.0, c = 1.0, p = 0.0;
+      bool underflow = false;
+      for (idx i = m - 1; i >= l; --i) {
+        const double f = s * e[i];
+        const double b = c * e[i];
+        r = std::hypot(f, g);
+        e[i + 1] = r;
+        if (r == 0.0) {
+          // Underflow: the rotation split the block; restart on it.
+          d[i + 1] -= p;
+          e[m] = 0.0;
+          underflow = true;
+          break;
+        }
+        s = f / r;
+        c = g / r;
+        g = d[i + 1] - p;
+        r = (d[i] - g) * s + 2.0 * c * b;
+        p = s * r;
+        d[i + 1] = g + p;
+        g = c * r - b;
+        ++rotations;
+        if (vt != nullptr) {
+          cplx* zi = vt->row_ptr(i);
+          cplx* zj = vt->row_ptr(i + 1);
+          for (idx q = 0; q < vt->cols(); ++q) {
+            const cplx h = zj[q];
+            zj[q] = s * zi[q] + c * h;
+            zi[q] = c * zi[q] - s * h;
+          }
+        }
+      }
+      if (underflow) continue;
+      d[l] -= p;
+      e[l] = g;
+      e[m] = 0.0;
+    } while (m != l);
+  }
+  return rotations;
+}
+
+}  // namespace
+
+HermEigResult hermitian_eig(const CMatrix& a_in, bool want_vectors) {
   if (!a_in.square())
     throw std::invalid_argument("hermitian_eig: matrix not square");
   const idx n = a_in.rows();
+  const auto un = static_cast<std::size_t>(n);
   CMatrix a = a_in;
-  CMatrix v = CMatrix::identity(n);
-  FlopCounter::add(static_cast<std::uint64_t>(30u) * n * n * n);
+  std::vector<double> d(un);
+  std::vector<cplx> t(un);
+  CMatrix reflectors;
+  if (want_vectors) reflectors = CMatrix(n, n);
+  householder_tridiagonal(a, d, t, want_vectors ? &reflectors : nullptr);
 
-  // Cyclic Jacobi with complex rotations.
-  for (int sweep = 0; sweep < 100; ++sweep) {
-    double off = 0.0;
-    for (idx p = 0; p < n; ++p)
-      for (idx q = p + 1; q < n; ++q) off += std::norm(a(p, q));
-    if (std::sqrt(off) < tol * std::max(1.0, frob_norm(a_in))) break;
-    for (idx p = 0; p < n; ++p) {
-      for (idx q = p + 1; q < n; ++q) {
-        const cplx apq = a(p, q);
-        if (std::abs(apq) == 0.0) continue;
-        const double app = a(p, p).real();
-        const double aqq = a(q, q).real();
-        // Diagonalize the 2x2 Hermitian block [[app, apq],[conj(apq), aqq]].
-        const double abs_apq = std::abs(apq);
-        const cplx phase = apq / abs_apq;
-        const double tau = (aqq - app) / (2.0 * abs_apq);
-        const double t = (tau >= 0 ? 1.0 : -1.0) /
-                         (std::abs(tau) + std::sqrt(1.0 + tau * tau));
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = t * c;
-        const cplx sp = s * phase;
-        // Apply rotation: columns/rows p and q.
-        for (idx i = 0; i < n; ++i) {
-          const cplx aip = a(i, p), aiq = a(i, q);
-          a(i, p) = c * aip - std::conj(sp) * aiq;
-          a(i, q) = sp * aip + c * aiq;
-        }
-        for (idx j = 0; j < n; ++j) {
-          const cplx apj = a(p, j), aqj = a(q, j);
-          a(p, j) = c * apj - sp * aqj;
-          a(q, j) = std::conj(sp) * apj + c * aqj;
-        }
-        for (idx i = 0; i < n; ++i) {
-          const cplx vip = v(i, p), viq = v(i, q);
-          v(i, p) = c * vip - std::conj(sp) * viq;
-          v(i, q) = sp * vip + c * viq;
-        }
-      }
-    }
+  // T = D T' D^H with the unit diagonal phases delta_{k+1} =
+  // delta_k t_k / |t_k| makes T' real symmetric with off-diagonal |t_k|.
+  std::vector<double> e(un, 0.0);
+  std::vector<cplx> delta(un, cplx{1.0});
+  for (std::size_t k = 0; k + 1 < un; ++k) {
+    e[k] = std::abs(t[k]);
+    delta[k + 1] = e[k] > 0.0 ? delta[k] * (t[k] / e[k]) : delta[k];
   }
 
-  // Sort ascending by eigenvalue.
-  std::vector<idx> order(static_cast<std::size_t>(n));
+  // Eigenvectors V = Q D Z are carried transposed, V^T = Z^T D Q^T, so the
+  // QL rotations act on contiguous rows.
+  CMatrix vt;
+  if (want_vectors) {
+    vt = householder_q_transposed(reflectors);
+    for (idx i = 0; i < n; ++i) {
+      const cplx ph = delta[static_cast<std::size_t>(i)];
+      cplx* row = vt.row_ptr(i);
+      for (idx j = 0; j < n; ++j) row[j] *= ph;
+    }
+  }
+  const std::uint64_t rotations =
+      tridiagonal_ql(d, e, want_vectors ? &vt : nullptr);
+
+  // Reduction (16/3) n^3 and ~20 flops per QL rotation; eigenvectors add
+  // (16/3) n^3 for Q and 12 n per rotation on the complex rows.
+  const auto n3 = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n) *
+                  static_cast<std::uint64_t>(n);
+  std::uint64_t flops = 16u * n3 / 3u + 20u * rotations;
+  if (want_vectors)
+    flops += 16u * n3 / 3u + 12u * static_cast<std::uint64_t>(n) * rotations;
+  FlopCounter::add(flops);
+
+  HermEigResult out;
+  if (!want_vectors) {
+    std::sort(d.begin(), d.end());
+    out.values = std::move(d);
+    return out;
+  }
+  std::vector<idx> order(un);
   std::iota(order.begin(), order.end(), idx{0});
   std::sort(order.begin(), order.end(), [&](idx i, idx j) {
-    return a(i, i).real() < a(j, j).real();
+    return d[static_cast<std::size_t>(i)] < d[static_cast<std::size_t>(j)];
   });
-  HermEigResult out;
-  out.values.resize(static_cast<std::size_t>(n));
+  out.values.resize(un);
   out.vectors = CMatrix(n, n);
-  for (idx k = 0; k < n; ++k) {
-    const idx src = order[static_cast<std::size_t>(k)];
-    out.values[static_cast<std::size_t>(k)] = a(src, src).real();
-    for (idx i = 0; i < n; ++i) out.vectors(i, k) = v(i, src);
+  for (idx c = 0; c < n; ++c) {
+    const idx src = order[static_cast<std::size_t>(c)];
+    out.values[static_cast<std::size_t>(c)] = d[static_cast<std::size_t>(src)];
+    const cplx* row = vt.row_ptr(src);
+    for (idx r = 0; r < n; ++r) out.vectors(r, c) = row[r];
   }
   return out;
 }

@@ -1,4 +1,5 @@
-// Dense complex eigensolvers built on Hessenberg reduction + shifted QR.
+// Dense complex eigensolvers: Hessenberg reduction + shifted QR for general
+// matrices, Householder tridiagonalization + implicit QL for Hermitian ones.
 //
 // These replace the LAPACK routines the paper relies on (zggev for the lead
 // eigenproblem, Rayleigh-Ritz reductions in FEAST).  The generalized solver
@@ -35,12 +36,19 @@ EigResult generalized_eig(const CMatrix& a, const CMatrix& b,
 EigResult shift_invert_eig(const CMatrix& a, const CMatrix& b, cplx sigma,
                            bool want_vectors = true, double drop_tol = 1e-12);
 
-/// Eigen-decomposition of a Hermitian matrix via the cyclic Jacobi method:
-/// returns real eigenvalues (ascending) and orthonormal eigenvectors.
 struct HermEigResult {
   std::vector<double> values;
+  /// Orthonormal eigenvectors as columns; empty when not requested.
   CMatrix vectors;
 };
-HermEigResult hermitian_eig(const CMatrix& a, double tol = 1e-12);
+
+/// Eigenvalues (ascending) and optionally orthonormal eigenvectors of a
+/// Hermitian matrix.  Householder reduction to a complex tridiagonal, a
+/// diagonal phase scaling to a real symmetric tridiagonal, then implicit QL
+/// with Wilkinson shifts; the reflectors and rotations are accumulated only
+/// when `want_vectors` is set, and the values are bitwise the same either
+/// way.  Reads the upper triangle and the real part of the diagonal.
+/// Throws std::runtime_error if the QL iteration does not converge.
+HermEigResult hermitian_eig(const CMatrix& a, bool want_vectors = true);
 
 }  // namespace omenx::numeric

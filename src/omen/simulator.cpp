@@ -29,13 +29,8 @@ Simulator::Simulator(SimulationConfig config) : config_(std::move(config)) {
   // The device's block count is fixed by the supercell fold of
   // assemble_device — resolve it once: contact attachment blocks validate
   // against it, and the scattering model's probe layout is built from it.
-  {
-    const auto assembled = dft::assemble_device(
-        lead_.front(), config_.structure.num_cells,
-        std::vector<double>(
-            static_cast<std::size_t>(config_.structure.num_cells), 0.0));
-    device_blocks_ = assembled.h.num_blocks();
-  }
+  device_blocks_ =
+      dft::device_block_count(lead_.front(), config_.structure.num_cells);
   // N-terminal layout: build the per-material lead tables and validate the
   // attachment geometry *now* — a bad layout must surface as
   // std::invalid_argument at construction, before any engine world exists

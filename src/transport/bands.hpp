@@ -4,8 +4,9 @@
 // comparison of Fig. 1(b)) and as a sanity check on the Hamiltonian
 // emulator.  The generalized Hermitian problem
 //     H(k) u = E S(k) u,  H(k) = H00 + e^{ik} H01 + e^{-ik} H01^H
-// is reduced with a Cholesky factorization of S(k) and solved with the
-// Jacobi eigensolver.
+// is reduced with a Cholesky factorization S(k) = L L^H to the standard
+// problem L^{-1} H L^{-H}, whose eigenvalues come from the values-only
+// Hermitian tridiagonal QL solver.
 #pragma once
 
 #include <vector>

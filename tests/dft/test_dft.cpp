@@ -174,7 +174,22 @@ TEST(Hamiltonian, DeviceCellCountMustDivideByFold) {
   if (lead.nbw() >= 2) {
     const std::vector<double> v(5, 0.0);
     EXPECT_THROW(df::assemble_device(lead, 5, v), std::invalid_argument);
+    EXPECT_THROW(df::device_block_count(lead, 5), std::invalid_argument);
   }
+}
+
+TEST(Hamiltonian, DeviceBlockCountMatchesAssembly) {
+  df::BasisLibrary lib;
+  const auto lead = df::build_lead_blocks(tiny_wire(2), lib);
+  const idx fold = std::max<idx>(1, lead.nbw());
+  for (const idx supercells : {2, 3, 5}) {
+    const idx cells = supercells * fold;
+    const std::vector<double> v(static_cast<std::size_t>(cells), 0.0);
+    EXPECT_EQ(df::device_block_count(lead, cells),
+              df::assemble_device(lead, cells, v).h.num_blocks());
+  }
+  // One supercell leaves no room for two contacts.
+  EXPECT_THROW(df::device_block_count(lead, fold), std::invalid_argument);
 }
 
 TEST(Hamiltonian, KTransverseChangesUtbBlocksButKeepsHermiticity) {

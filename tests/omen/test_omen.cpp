@@ -8,6 +8,7 @@
 #include "dft/hamiltonian.hpp"
 #include "poisson/scf.hpp"
 #include "numeric/blas.hpp"
+#include "numeric/eig.hpp"
 #include "omen/io.hpp"
 #include "omen/scheduler.hpp"
 #include "omen/simulator.hpp"
@@ -170,6 +171,41 @@ TEST(Bands, ChainCosineBand) {
   EXPECT_NEAR(win.emin, -2.0, 1e-9);
   EXPECT_NEAR(win.emax, 2.0, 1e-9);
   EXPECT_NEAR(tr::lowest_band_above(bs, -3.0), -2.0, 1e-9);
+}
+
+TEST(Bands, WireLeadMatchesGeneralizedEig) {
+  // The d = 0.4 nm Si wire's folded lead (120 orbitals per supercell):
+  // the Cholesky-reduced Hermitian values must agree with the general
+  // solver on the pencil (H(k), S(k)), and the window minimum, which anchors
+  // the charge contour, to 1e-9 eV.
+  const df::BasisLibrary basis;
+  const df::FoldedLead lead = df::fold_lead(
+      df::build_lead_blocks(lt::make_nanowire(0.4, 48), basis));
+  const idx nk = 3;
+  const auto bs = tr::lead_band_structure(lead, nk);
+  ASSERT_EQ(bs.bands.size(), static_cast<std::size_t>(nk));
+  double ref_min = 0.0;
+  for (idx ik = 0; ik < nk; ++ik) {
+    const double k = bs.k[static_cast<std::size_t>(ik)];
+    const cplx phase = std::exp(cplx{0.0, k});
+    CMatrix hk = lead.h00;
+    hk.add_block(0, 0, lead.h01, phase);
+    hk.add_block(0, 0, nm::dagger(lead.h01), std::conj(phase));
+    CMatrix sk = lead.s00;
+    sk.add_block(0, 0, lead.s01, phase);
+    sk.add_block(0, 0, nm::dagger(lead.s01), std::conj(phase));
+    std::vector<double> ref;
+    for (const cplx v : nm::generalized_eig(hk, sk, false).values)
+      ref.push_back(v.real());
+    std::sort(ref.begin(), ref.end());
+    const auto& got = bs.bands[static_cast<std::size_t>(ik)];
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t n = 0; n < ref.size(); ++n)
+      EXPECT_NEAR(got[n], ref[n], 1e-8 * std::max(1.0, std::abs(ref[n])))
+          << "k index " << ik << ", band " << n;
+    ref_min = ik == 0 ? ref.front() : std::min(ref_min, ref.front());
+  }
+  EXPECT_NEAR(tr::band_window(bs).emin, ref_min, 1e-9);
 }
 
 TEST(Simulator, ChainTransmissionSpectrum) {
