@@ -205,12 +205,13 @@ dft::LeadBlocks recv_lead_blocks(Comm& comm, int src) {
 }
 
 /// Is the request's terminal layout the classic symmetric pair (or no
-/// contacts at all)?  Symmetric requests are normalized back onto the
-/// pre-refactor pipeline — same batching, same spatial cooperation, same
-/// cache keys — so the symmetric limit stays bit-identical at every world
-/// size.  The comparison is on the *literal* block values {0, kLastBlock}:
-/// the engine has no device length here, and that pair is how the simulator
-/// spells the classic ends.
+/// contacts at all)?  Symmetric requests solve as the implicit identical
+/// pair under the global shift — batching, spatial cooperation, classic
+/// cache keys, and no extra lead materials on the wire — so the symmetric
+/// limit stays bit-identical at every world size.  The comparison is on
+/// the *literal* block values {0, kLastBlock}: the engine has no device
+/// length here, and that pair is how the simulator spells the classic
+/// ends.
 bool contacts_are_classic_symmetric(const SweepRequest& req) {
   if (req.contacts.empty()) return true;
   if (req.contacts.size() != 2) return false;
@@ -244,11 +245,16 @@ bool classic_pair_blocks(const SweepRequest& req, idx nb) {
 
 /// The request's terminal layout over one k's materials.  `lead`/`folded`
 /// are the classic (material -1) blocks; `extras`/`extra_folded` index the
-/// materials >= 0.  Every referenced object must outlive the returned set.
+/// materials >= 0.  A classic symmetric request becomes the identical pair
+/// under `classic_shift` with lead_hash 0, so its boundaries keep the
+/// classic cache keys.  Every referenced object must outlive the returned
+/// set.
 transport::ContactSet build_contact_set(
     const SweepRequest& req, const dft::LeadBlocks& lead,
     const dft::FoldedLead& folded, const std::vector<dft::LeadBlocks>& extras,
-    const std::vector<dft::FoldedLead>& extra_folded) {
+    const std::vector<dft::FoldedLead>& extra_folded, double classic_shift) {
+  if (contacts_are_classic_symmetric(req))
+    return transport::ContactSet::pair(lead, folded, 0.0, 0.0, classic_shift);
   std::vector<transport::Contact> cs;
   cs.reserve(req.contacts.size());
   for (const SweepContact& sc : req.contacts) {
@@ -331,8 +337,8 @@ void serve_queue(Comm comm, Coordinator& co, const SweepRequest& req,
 }
 
 /// Everything one rank caches for a k point it solves: the lead blocks it
-/// received, the folded/assembled device built from them, and the sweep
-/// worker bound to the rank's warm context.
+/// received, the folded/assembled device built from them, the request's
+/// terminals over them, and the k's task options.
 struct KData {
   dft::LeadBlocks lead;
   dft::FoldedLead folded;  ///< leaders only; members never run the OBCs
@@ -341,40 +347,31 @@ struct KData {
   std::vector<dft::LeadBlocks> extra_leads;
   std::vector<dft::FoldedLead> extra_folded;
   dft::DeviceMatrices dm;
-  transport::ContactSet contacts;  ///< empty in classic and member mode
-  std::unique_ptr<transport::EnergySweepWorker> worker;  ///< leaders only
+  /// Leaders only.  Points at this KData's own members, which are stable
+  /// for its lifetime (the per-rank cache holds KData by unique_ptr).
+  transport::ContactSet contacts;
+  transport::EnergyPointOptions options;
 
-  /// `build_worker` = false is the spatial-member variant: members only
-  /// need the assembled device matrices to compute SPIKE partitions of A,
-  /// so the lead folding and the sweep worker are skipped.  `contact_mode`
-  /// routes the worker through the ContactSet entry points; the set points
-  /// at this KData's own members, which are stable for its lifetime (the
-  /// per-rank cache holds KData by unique_ptr).
+  /// `leader` = false is the spatial-member variant: members only need the
+  /// assembled device matrices to compute SPIKE partitions of A, so the
+  /// lead folding and the contact set are skipped.
   KData(dft::LeadBlocks l, const SweepRequest& req,
         const transport::EnergyPointOptions& opts,
-        transport::EnergyPointContext& ctx, parallel::DevicePool* pool,
-        const dft::FoldedLead* pre_folded = nullptr, bool build_worker = true,
-        std::vector<dft::LeadBlocks> extras = {}, bool contact_mode = false)
+        const dft::FoldedLead* pre_folded = nullptr, bool leader = true,
+        std::vector<dft::LeadBlocks> extras = {})
       : lead(std::move(l)),
-        folded(build_worker
-                   ? (pre_folded != nullptr ? *pre_folded
-                                            : dft::fold_lead(lead))
-                   : dft::FoldedLead{}),
+        folded(leader ? (pre_folded != nullptr ? *pre_folded
+                                               : dft::fold_lead(lead))
+                      : dft::FoldedLead{}),
         extra_leads(std::move(extras)),
-        dm(dft::assemble_device(lead, req.cells, req.potential)) {
-    if (!build_worker) return;
-    if (contact_mode) {
-      extra_folded.reserve(extra_leads.size());
-      for (const dft::LeadBlocks& ex : extra_leads)
-        extra_folded.push_back(dft::fold_lead(ex));
-      contacts =
-          build_contact_set(req, lead, folded, extra_leads, extra_folded);
-      worker = std::make_unique<transport::EnergySweepWorker>(
-          ctx, dm, contacts, opts, pool);
-      return;
-    }
-    worker = std::make_unique<transport::EnergySweepWorker>(
-        ctx, dm, lead, folded, opts, pool);
+        dm(dft::assemble_device(lead, req.cells, req.potential)),
+        options(opts) {
+    if (!leader) return;
+    extra_folded.reserve(extra_leads.size());
+    for (const dft::LeadBlocks& ex : extra_leads)
+      extra_folded.push_back(dft::fold_lead(ex));
+    contacts = build_contact_set(req, lead, folded, extra_leads, extra_folded,
+                                 opts.obc_opts.contact_shift);
   }
 };
 
@@ -956,9 +953,7 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
   // drain-side weight to fold them into.
   popt.want_density_r = !request.density_weight_r.empty();
   // Terminal layout: a symmetric classic pair collapses onto the global
-  // contact shift and the entire pre-refactor pipeline below (batching
-  // included) runs unchanged; anything else routes per-task through the
-  // ContactSet entry points.
+  // contact shift and may batch; anything else solves task by task.
   const bool contact_mode = !contacts_are_classic_symmetric(request);
   if (!request.contacts.empty() && !contact_mode)
     popt.obc_opts.contact_shift = request.contacts[0].shift;
@@ -979,26 +974,21 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
     dms[k] = dft::assemble_device((*request.leads)[k], request.cells,
                                   request.potential);
 
-  // Contact mode: per-k copies of the extra lead materials, their folds,
-  // and the ContactSet pointing at them (stable — the vectors are fully
-  // built before any set references them).
-  std::vector<std::vector<dft::LeadBlocks>> extra_leads_k;
-  std::vector<std::vector<dft::FoldedLead>> extra_folded_k;
-  std::vector<transport::ContactSet> contact_sets;
-  if (contact_mode) {
-    const std::size_t m_count = num_extra_materials(request);
-    extra_leads_k.resize(nk);
-    extra_folded_k.resize(nk);
-    contact_sets.resize(nk);
-    for (std::size_t k = 0; k < nk; ++k) {
-      for (std::size_t m = 0; m < m_count; ++m) {
-        extra_leads_k[k].push_back((*request.contact_leads)[m][k]);
-        extra_folded_k[k].push_back(dft::fold_lead(extra_leads_k[k].back()));
-      }
-      contact_sets[k] =
-          build_contact_set(request, (*request.leads)[k], (*folded)[k],
-                            extra_leads_k[k], extra_folded_k[k]);
+  // Per-k copies of the extra lead materials (contact mode only), their
+  // folds, and the ContactSet pointing at them (stable — the vectors are
+  // fully built before any set references them).
+  const std::size_t m_count = num_extra_materials(request);
+  std::vector<std::vector<dft::LeadBlocks>> extra_leads_k(nk);
+  std::vector<std::vector<dft::FoldedLead>> extra_folded_k(nk);
+  std::vector<transport::ContactSet> contact_sets(nk);
+  for (std::size_t k = 0; k < nk; ++k) {
+    for (std::size_t m = 0; m < m_count; ++m) {
+      extra_leads_k[k].push_back((*request.contact_leads)[m][k]);
+      extra_folded_k[k].push_back(dft::fold_lead(extra_leads_k[k].back()));
     }
+    contact_sets[k] = build_contact_set(
+        request, (*request.leads)[k], (*folded)[k], extra_leads_k[k],
+        extra_folded_k[k], popt.obc_opts.contact_shift);
   }
 
   const bool has_greens = request_has_greens(request);
@@ -1019,14 +1009,8 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
         static_cast<std::size_t>(ie - lay.n_real[sk]);
     transport::EnergyPointOptions task_opt = popt;
     task_opt.k_index = ik;
-    const auto diag =
-        contact_mode
-            ? transport::solve_greens_diagonal(dms[sk], contact_sets[sk],
-                                               request.gf_nodes[sk][sg],
-                                               task_opt)
-            : transport::solve_greens_diagonal(
-                  dms[sk], (*request.leads)[sk], (*folded)[sk],
-                  request.gf_nodes[sk][sg], task_opt);
+    const auto diag = transport::solve_greens_diagonal(
+        dms[sk], contact_sets[sk], request.gf_nodes[sk][sg], task_opt);
     point_charge[flat] = greens_task_charge(
         request, (*request.leads)[sk].block_dim(), request.gf_weights[sk][sg],
         diag);
@@ -1051,15 +1035,12 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
   // attaches nothing (kNone, buttiker at eta <= 0) changes nothing here.
   const bool scattering_probes =
       !contact_mode && n > 0 &&
-      popt.scattering.algorithm != scattering::ScatteringAlgorithm::kNone &&
-      !scattering::assemble_probes(popt.scattering, dms[0].h.num_blocks(),
-                                   {0, dms[0].h.num_blocks() - 1})
-           .empty();
+      scattering::attaches_probes(popt.scattering, dms[0].h.num_blocks());
 
   bool use_batches = false;
   // Contact mode never batches: the batched pipeline is the classic
-  // single-boundary arithmetic, and contact tasks route through the
-  // ContactSet entry points one at a time (still across-task parallel).
+  // single-boundary arithmetic, so contact tasks solve one at a time
+  // (still across-task parallel).
   if (config_.batch_tasks && n > 0 && !contact_mode && !scattering_probes) {
     const idx nbb = dms[0].h.num_blocks();
     const idx sbb = dms[0].h.block_size();
@@ -1172,14 +1153,9 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
       // The cache key's momentum component is the global k index.
       transport::EnergyPointOptions task_opt = popt;
       task_opt.k_index = ik;
-      const auto res =
-          contact_mode
-              ? transport::solve_energy_point(dms[sk], contact_sets[sk],
-                                              request.energies[sk][se],
-                                              task_opt, pool_)
-              : transport::solve_energy_point(
-                    dms[sk], (*request.leads)[sk], (*folded)[sk],
-                    request.energies[sk][se], task_opt, pool_);
+      const auto res = transport::solve_energy_point(
+          dms[sk], contact_sets[sk], request.energies[sk][se], task_opt,
+          pool_);
       busy[flat] = now_seconds() - t0;
       out.transmission[sk][se] = res.transmission;
       out.caroli[sk][se] = res.transmission_caroli;
@@ -1219,8 +1195,9 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
                    config_.ranks_per_energy_group);
   Coordinator co(lay, request, config_.work_stealing);
   // Terminal layout, computed identically on every rank from the shared
-  // request: symmetric classic pairs normalize onto the pre-refactor
-  // pipeline; contact mode threads ContactSets through the leaders.
+  // request: symmetric classic pairs solve as the implicit identical pair
+  // (batching, spatial cooperation); contact mode ships the extra lead
+  // materials to the leaders.
   const bool contact_mode = !contacts_are_classic_symmetric(request);
   const std::size_t m_count = num_extra_materials(request);
   const std::size_t stride = sample_stride(request);
@@ -1387,16 +1364,14 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
               wr == 0 && request.folded != nullptr
                   ? &(*request.folded)[static_cast<std::size_t>(k)]
                   : nullptr;
-          // The worker's boundary-cache key carries the *global* k index:
+          // The task options' cache key carries the *global* k index:
           // stolen tasks land in the thief's cache under the owner's k, so
           // two momenta sharing an energy can never alias.
           transport::EnergyPointOptions kopt = popt;
           kopt.k_index = k;
           cache.emplace(k, std::make_unique<KData>(std::move(lead), request,
-                                                   kopt, ctx, my_pool, pre,
-                                                   /*build_worker=*/leader,
-                                                   std::move(extras),
-                                                   contact_mode));
+                                                   kopt, pre, leader,
+                                                   std::move(extras)));
         } catch (...) {
           rank_error = std::current_exception();
         }
@@ -1410,8 +1385,7 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
         // and at protocol end.  Stolen blocks are still fetched at
         // accumulation time, so the fetch rides ahead of the flush.
         // Spatial groups solve cooperatively, one point at a time; contact
-        // mode routes every task through the ContactSet entry points
-        // (never the batched classic pipeline).
+        // mode solves task by task (never the batched classic pipeline).
         // An active scattering model disqualifies batching outright (the
         // device shape is unknown until a task's blocks arrive, so this is
         // spec-level, conservative): attached probes would only degrade
@@ -1513,11 +1487,9 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
                 stolen_extras[m] = recv_lead_blocks(comm, 0);
               it = cache
                        .emplace(ik, std::make_unique<KData>(
-                                        std::move(stolen), request, kopt,
-                                        ctx, my_pool, pre,
-                                        /*build_worker=*/true,
-                                        std::move(stolen_extras),
-                                        contact_mode))
+                                        std::move(stolen), request, kopt, pre,
+                                        /*leader=*/true,
+                                        std::move(stolen_extras)))
                        .first;
               fetched = true;
             }
@@ -1574,11 +1546,7 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
                   is_gf ||
                   (contact_mode && !classic_pair_blocks(request, nbb)) ||
                   (!contact_mode &&
-                   popt.scattering.algorithm !=
-                       scattering::ScatteringAlgorithm::kNone &&
-                   !scattering::assemble_probes(popt.scattering, nbb,
-                                                {0, nbb - 1})
-                        .empty());
+                   scattering::attaches_probes(popt.scattering, nbb));
               const auto algo =
                   solo ? solvers::SolverAlgorithm::kRgf
                        : solvers::resolve_algorithm(popt.solver, nbb, sbb,
@@ -1598,12 +1566,8 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
               gopt.k_index = ik;
               gopt.spatial = nullptr;  // the RGF diagonal is a solo solve
               const double t0 = now_seconds();
-              const auto diag =
-                  contact_mode
-                      ? it->second->worker->solve_greens(z, gopt)
-                      : transport::solve_greens_diagonal(
-                            ctx, it->second->dm, it->second->lead,
-                            it->second->folded, z, gopt);
+              const auto diag = transport::solve_greens_diagonal(
+                  ctx, it->second->dm, it->second->contacts, z, gopt);
               local.busy_seconds += now_seconds() - t0;
               ++local.tasks;
               ++local.greens_tasks;
@@ -1621,7 +1585,9 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
                 request.energies[static_cast<std::size_t>(ik)]
                                 [static_cast<std::size_t>(ie)];
             const double t0 = now_seconds();
-            const auto res = it->second->worker->solve(energy);
+            const KData& kd = *it->second;
+            const auto res = transport::solve_energy_point(
+                ctx, kd.dm, kd.contacts, energy, kd.options, my_pool);
             local.busy_seconds += now_seconds() - t0;
             ++local.tasks;
             record_sample(local, lay, request, ik, ie, res);
@@ -1657,9 +1623,8 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
                 kopt.k_index = ik;
                 kopt.obc_opts.contact_shift = task_shift;
                 cache.emplace(ik, std::make_unique<KData>(
-                                      std::move(lead), request, kopt, ctx,
-                                      my_pool, nullptr,
-                                      /*build_worker=*/false));
+                                      std::move(lead), request, kopt, nullptr,
+                                      /*leader=*/false));
               } catch (...) {
                 rank_error = std::current_exception();
               }

@@ -150,13 +150,14 @@ struct SweepRequest {
   /// contribute charge only — no transmission entries.
   std::vector<std::vector<numeric::cplx>> gf_nodes;
   std::vector<std::vector<numeric::cplx>> gf_weights;  ///< same shape
-  /// Terminal layout.  Empty = the classic two-identical-contacts sweep
-  /// (exactly the pre-refactor pipeline).  A symmetric classic pair (two
-  /// material -1 contacts with equal shifts at {0, last}) is *normalized
-  /// back onto that pipeline* — batching, spatial cooperation, and cache
-  /// keys included — so the symmetric limit stays bit-identical at every
-  /// world size.  Anything else routes each task through the ContactSet
-  /// entry points; batching is disabled for those requests.
+  /// Terminal layout.  Empty = the classic two-identical-contacts sweep:
+  /// every task solves transport::ContactSet::pair over the k's lead under
+  /// the global contact shift (lead_hash 0, cache contact id 0), and may
+  /// batch and cooperate spatially.  A symmetric classic pair (two
+  /// material -1 contacts with equal shifts at {0, last}) is solved exactly
+  /// like the empty list, so the symmetric limit stays bit-identical at
+  /// every world size.  Anything else solves each task on the request's own
+  /// ContactSet; batching is disabled for those requests.
   std::vector<SweepContact> contacts;
   /// Extra lead materials, indexed [material][ik] (root only, like
   /// `leads`).  Referenced by SweepContact::material.

@@ -68,9 +68,9 @@ struct SimulationConfig {
   /// (source at block 0, drain at the last block, both the device's lead
   /// material) — the seed behavior, bit-identical.  Non-empty layouts are
   /// validated at construction (>= 2 contacts, in-range pairwise-distinct
-  /// attachment blocks); a symmetric pair configured explicitly is
-  /// normalized by the engine back onto the classic pipeline and stays
-  /// bit-identical to the empty layout.
+  /// attachment blocks); a symmetric pair configured explicitly is solved
+  /// by the engine as the implicit identical pair and stays bit-identical
+  /// to the empty layout.
   std::vector<ContactConfig> contacts;
   idx num_k = 1;          ///< transverse momentum points (z-periodic only)
   int num_devices = 2;    ///< emulated accelerators

@@ -230,6 +230,11 @@ std::vector<ProbeSite> assemble_probes(const Spec& spec, idx nb,
       ->probes(nb, occupied, spec.options);
 }
 
+bool attaches_probes(const Spec& spec, idx nb) {
+  if (spec.algorithm == ScatteringAlgorithm::kNone) return false;
+  return !assemble_probes(spec, nb, {0, nb - 1}).empty();
+}
+
 std::uint64_t boundary_key_component(const Spec& spec) {
   if (spec.algorithm == ScatteringAlgorithm::kNone) return 0;
   const auto model = make_scattering_model(spec.algorithm);

@@ -4,8 +4,8 @@
 //
 // transport::solve_energy_point assembles its per-block self-energy
 // contributions from an ordered provider list.  Provider #0 is always the
-// ContactSet (routed through literally the pre-refactor arithmetic, so the
-// ballistic limit stays bit-identical); a scattering model appends further
+// ContactSet (a model that attaches nothing leaves the set, and so the
+// ballistic result, bit-identical); a scattering model appends further
 // providers.  The first model, `buttiker_probe`, attaches phenomenological
 // probe terminals Sigma_p = -i eta_p I to interior device blocks via the
 // PR-9 kMultiTerminal interior-attachment machinery: each probe absorbs
@@ -163,6 +163,11 @@ unsigned scattering_algorithm_capabilities(ScatteringAlgorithm algo);
 /// eta <= 0).  This is the provider-assembly hook solve_energy_point calls.
 std::vector<ProbeSite> assemble_probes(const Spec& spec, idx nb,
                                        const std::vector<idx>& occupied);
+
+/// True when the Spec attaches at least one probe to an nb-block device
+/// whose contacts sit at the classic ends {0, nb - 1} — the solve of such a
+/// device becomes multi-terminal (no batching, no spatial cooperation).
+bool attaches_probes(const Spec& spec, idx nb);
 
 /// The Spec's obc::BoundaryKey::scattering component (0 unless the model
 /// advertises kModifiesBoundaries).

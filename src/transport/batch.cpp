@@ -69,34 +69,29 @@ std::vector<EnergyPointResult> solve_energy_batch(
     if (task.dm == nullptr || task.lead == nullptr || task.folded == nullptr)
       throw std::invalid_argument("solve_energy_batch: null task operand");
 
-  if (options.scattering.algorithm != scattering::ScatteringAlgorithm::kNone) {
-    // Provider assembly can grow the terminal set beyond the classic pair,
+  if (scattering::attaches_probes(options.scattering,
+                                  tasks[0].dm->h.num_blocks())) {
+    // Provider assembly grows the terminal set beyond the classic pair,
     // and the batched two-contact arithmetic then no longer applies.
     // Degrade to per-task scalar solves — each routes through the
-    // ContactSet multi-terminal path with the probes attached.  A model
-    // that attaches nothing (buttiker_probe at eta <= 0) falls through to
-    // the batched pipeline below, bit-identically.
-    const idx nb0 = tasks[0].dm->h.num_blocks();
-    const std::vector<scattering::ProbeSite> sites =
-        scattering::assemble_probes(options.scattering, nb0, {0, nb0 - 1});
-    if (!sites.empty()) {
-      for (std::size_t i = 0; i < n; ++i) {
-        EnergyPointOptions task_options = options;
-        task_options.k_index = tasks[i].k_index;
-        results[i] =
-            solve_energy_point(ctx.point, *tasks[i].dm, *tasks[i].lead,
-                               *tasks[i].folded, tasks[i].energy, task_options,
-                               pool);
-      }
-      if (stats != nullptr) {
-        BatchStats local;
-        local.batches = 1;
-        local.tasks = static_cast<idx>(n);
-        local.batched_solve = false;
-        *stats += local;
-      }
-      return results;
+    // multi-terminal path with the probes attached.  A model that attaches
+    // nothing (buttiker_probe at eta <= 0) falls through to the batched
+    // pipeline below, bit-identically.
+    for (std::size_t i = 0; i < n; ++i) {
+      EnergyPointOptions task_options = options;
+      task_options.k_index = tasks[i].k_index;
+      results[i] = solve_energy_point(ctx.point, *tasks[i].dm, *tasks[i].lead,
+                                      *tasks[i].folded, tasks[i].energy,
+                                      task_options, pool);
     }
+    if (stats != nullptr) {
+      BatchStats local;
+      local.batches = 1;
+      local.tasks = static_cast<idx>(n);
+      local.batched_solve = false;
+      *stats += local;
+    }
+    return results;
   }
 
   auto& threads = parallel::ThreadPool::global();
@@ -123,7 +118,10 @@ std::vector<EnergyPointResult> solve_energy_batch(
       EnergyPointOptions task_options = options;
       task_options.k_index = task.k_index;
       auto strategy = obc::make_obc_strategy(task_options.obc);
-      return detail::fetch_boundary(*strategy, *task.lead, *task.folded,
+      // The classic identical pair: one fetch under contact id 0.
+      const Contact left{task.lead, task.folded, 0.0,
+                         options.obc_opts.contact_shift, 0};
+      return detail::fetch_boundary(*strategy, left, 0,
                                     cplx{task.energy, 0.0}, task_options);
     }));
   }

@@ -9,9 +9,11 @@
 // attachment block index on the device diagonal (previously hardwired to
 // {0, nb-1} as the sigma_l/sigma_r pair in every solver).
 //
-// The symmetric two-identical-contacts limit is routed through *literally*
-// the same arithmetic as the pre-refactor pipeline (one boundary fetch, the
-// same sigma_l/sigma_r solve), so it stays bit-identical — the parity suite
+// Every solve body takes its terminals as a ContactSet (transmission.hpp).
+// The classic two-identical-contacts device is ContactSet::pair with
+// lead_hash 0: the two-terminal solve fetches its boundary once, under
+// contact id 0, and reads both sides from it.  An explicit symmetric pair
+// therefore matches the implicit classic one bit for bit — the parity suite
 // and BENCH_contact.json gate on EXPECT_EQ, not a tolerance.
 #pragma once
 
@@ -48,8 +50,8 @@ struct Contact {
   /// solver advertising solvers::kMultiTerminal.
   idx block = kLastBlock;
   /// FNV-1a content hash of *lead (lead_content_hash).  0 = untracked —
-  /// the cache then distinguishes leads by contact id only, which is the
-  /// pre-refactor behavior for direct (non-engine) callers.
+  /// the cache then distinguishes leads by contact id only (the classic
+  /// pair and direct, non-engine callers).
   std::uint64_t lead_hash = 0;
   /// Büttiker-probe dephasing strength (eV).  > 0 marks this contact as a
   /// phenomenological probe terminal: it carries no lead material (`lead`

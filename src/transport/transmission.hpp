@@ -10,10 +10,15 @@
 //   4. wave-function observables: transmission (flux-normalized amplitudes
 //      in the right lead), orbital-resolved density, interface currents —
 //      cross-checked against the Green's-function (Caroli) transmission.
+//
+// The terminals of every solve are a transport::ContactSet: one
+// two-terminal body serves any pair at the device ends (the classic
+// identical pair fetches its boundary once), and a multi-terminal body
+// serves >= 3 contacts or interior attachments.  The (lead, folded)
+// overloads wrap the classic pair in a ContactSet and forward.
 #pragma once
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "dft/hamiltonian.hpp"
@@ -100,13 +105,13 @@ struct EnergyPointResult {
   std::vector<double> orbital_density_r;
   std::vector<double> interface_current;  ///< bond current per interface
   /// Pairwise Caroli transmission T_pq = Tr[Gamma_p G_pq Gamma_q G_pq^H]
-  /// (row-major nc x nc, diagonal 0) — filled only by the >= 3-terminal
-  /// ContactSet path.  The 2-terminal paths keep T in `transmission` /
-  /// `transmission_caroli` exactly as before.
+  /// (row-major nc x nc, diagonal 0) — filled only by the multi-terminal
+  /// path.  The two-terminal solve keeps T in `transmission` /
+  /// `transmission_caroli`.
   std::vector<double> t_matrix;
   /// Per-contact flux-normalized injected density (nc vectors of dim()
-  /// entries) — filled only by the >= 3-terminal path when want_density.
-  /// The 2-terminal paths keep orbital_density / orbital_density_r.
+  /// entries) — filled only by the multi-terminal path when want_density.
+  /// The two-terminal solve keeps orbital_density / orbital_density_r.
   std::vector<std::vector<double>> contact_density;
 };
 
@@ -152,87 +157,91 @@ struct EnergyPointContext {
   ObcAlgorithm obc_algo_ = ObcAlgorithm::kFeast;
 };
 
-/// Solve one energy point for the device `dm` with leads `lead`/`folded`.
-/// `pool` is required for the SplitSolve backend (ignored otherwise).
-/// Uses a thread-local EnergyPointContext, so sweeping many energies on a
-/// thread pool automatically gives every worker its own warm workspace.
-EnergyPointResult solve_energy_point(const dft::DeviceMatrices& dm,
-                                     const dft::LeadBlocks& lead,
-                                     const dft::FoldedLead& folded,
-                                     double energy,
-                                     const EnergyPointOptions& options = {},
-                                     parallel::DevicePool* pool = nullptr);
-
-/// Same, with an explicit context (testing and custom schedulers).
-EnergyPointResult solve_energy_point(EnergyPointContext& ctx,
-                                     const dft::DeviceMatrices& dm,
-                                     const dft::LeadBlocks& lead,
-                                     const dft::FoldedLead& folded,
-                                     double energy,
-                                     const EnergyPointOptions& options = {},
-                                     parallel::DevicePool* pool = nullptr);
-
-/// N-terminal entry point.  Routing keeps the validated paths hot:
-///   * two identical contacts at {0, last}  -> the exact pre-refactor
-///     single-boundary pipeline (bit-identical, including cache behavior);
-///   * two dissimilar contacts at {0, last} -> the same 2-terminal solve
-///     with the left contact's (sigma_l, inj) and the right contact's
-///     (sigma_r, inj_r, mode basis), each fetched under its own per-contact
-///     cache key — every solver backend works;
+/// Solve one energy point for the device `dm` attached to `contacts`.
+/// Routing by layout:
+///   * two contacts at {0, last} -> the two-terminal solve: the left
+///     contact supplies (sigma_l, inj), the right one (sigma_r, inj_r, mode
+///     basis), and every solver backend works.  A pair sharing boundary
+///     data (ContactSet::same_boundary — the classic identical pair) runs
+///     one boundary fetch; any other pair fetches each contact under its own
+///     per-contact cache key;
 ///   * anything else (>= 3 contacts or interior attachment blocks) -> the
 ///     multi-terminal path: per-contact boundary fetches (deduplicated for
 ///     contacts sharing lead content + shift), solvers::Attachment solve
 ///     (kMultiTerminal backends: rgf, block_lu), pairwise Caroli T_pq and
 ///     per-contact injected densities.  Interior contacts use the lead's
 ///     left-facing self-energy and injection set (probe convention).
-/// Contact shifts override options.obc_opts.contact_shift per contact.
+/// An active scattering model appends its probes first; an end pair widened
+/// that way still reports its source/drain densities in orbital_density /
+/// orbital_density_r.  Contact shifts override options.obc_opts.contact_shift
+/// per contact.  `pool` is required for the SplitSolve backend (ignored
+/// otherwise).
 EnergyPointResult solve_energy_point(EnergyPointContext& ctx,
                                      const dft::DeviceMatrices& dm,
                                      const ContactSet& contacts, double energy,
                                      const EnergyPointOptions& options = {},
                                      parallel::DevicePool* pool = nullptr);
 
-/// Same, on the thread-local context.
+/// Same, on a thread-local EnergyPointContext, so sweeping many energies on
+/// a thread pool automatically gives every worker its own warm workspace.
 EnergyPointResult solve_energy_point(const dft::DeviceMatrices& dm,
                                      const ContactSet& contacts, double energy,
                                      const EnergyPointOptions& options = {},
                                      parallel::DevicePool* pool = nullptr);
 
+/// The classic identical pair: forwards to the ContactSet entry with
+/// ContactSet::pair(lead, folded, 0, 0, options.obc_opts.contact_shift).
+EnergyPointResult solve_energy_point(EnergyPointContext& ctx,
+                                     const dft::DeviceMatrices& dm,
+                                     const dft::LeadBlocks& lead,
+                                     const dft::FoldedLead& folded,
+                                     double energy,
+                                     const EnergyPointOptions& options = {},
+                                     parallel::DevicePool* pool = nullptr);
+
+/// Same, on the thread-local context.
+EnergyPointResult solve_energy_point(const dft::DeviceMatrices& dm,
+                                     const dft::LeadBlocks& lead,
+                                     const dft::FoldedLead& folded,
+                                     double energy,
+                                     const EnergyPointOptions& options = {},
+                                     parallel::DevicePool* pool = nullptr);
+
 /// Diagonal of the retarded Green's function G = (z S - H - Sigma)^{-1} at a
 /// complex energy node z, ordered orbital-by-orbital like orbital_density.
-/// The OBC strategy is evaluated at z itself: with Im z > 0 every lead mode
-/// is strictly decaying, so the Boundary carries self-energies only (no
-/// injection states exist or are needed) and any registered backend works.
-/// This is the work unit of the contour charge quadrature
-/// (charge::Quadrature): a node with complex weight w contributes
-/// Im(w * G_ii) to the orbital density, and the node is served from
-/// options.boundary_cache under the complex-energy key, so a fixed contour
-/// hits the cache on every SCF iteration after the first.
-std::vector<cplx> solve_greens_diagonal(EnergyPointContext& ctx,
-                                        const dft::DeviceMatrices& dm,
-                                        const dft::LeadBlocks& lead,
-                                        const dft::FoldedLead& folded,
-                                        cplx energy,
-                                        const EnergyPointOptions& options = {});
-
-/// Same, on a thread-local context (shared with solve_energy_point's).
-std::vector<cplx> solve_greens_diagonal(const dft::DeviceMatrices& dm,
-                                        const dft::LeadBlocks& lead,
-                                        const dft::FoldedLead& folded,
-                                        cplx energy,
-                                        const EnergyPointOptions& options = {});
-
-/// N-terminal Green's-function diagonal: every contact's self-energy is
-/// folded into its attachment block (the symmetric pair reproduces the
-/// two-contact overload bit for bit — one boundary fetch, same folds).
+/// Every contact's self-energy is folded into its attachment block (the
+/// symmetric pair fetches its boundary once).  The OBC strategy is
+/// evaluated at z itself: with Im z > 0 every lead mode is strictly
+/// decaying, so the Boundary carries self-energies only (no injection
+/// states exist or are needed) and any registered backend works.  This is
+/// the work unit of the contour charge quadrature (charge::Quadrature): a
+/// node with complex weight w contributes Im(w * G_ii) to the orbital
+/// density, and the node is served from options.boundary_cache under the
+/// complex-energy key, so a fixed contour hits the cache on every SCF
+/// iteration after the first.
 std::vector<cplx> solve_greens_diagonal(EnergyPointContext& ctx,
                                         const dft::DeviceMatrices& dm,
                                         const ContactSet& contacts, cplx energy,
+                                        const EnergyPointOptions& options = {});
+
+/// Same, on the thread-local context (shared with solve_energy_point's).
+std::vector<cplx> solve_greens_diagonal(const dft::DeviceMatrices& dm,
+                                        const ContactSet& contacts, cplx energy,
+                                        const EnergyPointOptions& options = {});
+
+/// The classic identical pair: forwards to the ContactSet entry.
+std::vector<cplx> solve_greens_diagonal(EnergyPointContext& ctx,
+                                        const dft::DeviceMatrices& dm,
+                                        const dft::LeadBlocks& lead,
+                                        const dft::FoldedLead& folded,
+                                        cplx energy,
                                         const EnergyPointOptions& options = {});
 
 /// Same, on the thread-local context.
 std::vector<cplx> solve_greens_diagonal(const dft::DeviceMatrices& dm,
-                                        const ContactSet& contacts, cplx energy,
+                                        const dft::LeadBlocks& lead,
+                                        const dft::FoldedLead& folded,
+                                        cplx energy,
                                         const EnergyPointOptions& options = {});
 
 /// Sweep many energies.  With `threads`, the sweep is parallelized over the
@@ -244,56 +253,6 @@ std::vector<EnergyPointResult> sweep_energy_points(
     const EnergyPointOptions& options = {},
     parallel::DevicePool* pool = nullptr,
     parallel::ThreadPool* threads = nullptr);
-
-/// Per-group energy-sweep entry point: binds one device's matrices and the
-/// solve options to a reusable context, so a distribution layer
-/// (omen::Engine) can solve whatever points the work queue hands its rank —
-/// in any order, allocation-free in steady state.  The referenced matrices,
-/// context, and pool must outlive the worker.
-class EnergySweepWorker {
- public:
-  EnergySweepWorker(EnergyPointContext& ctx, const dft::DeviceMatrices& dm,
-                    const dft::LeadBlocks& lead, const dft::FoldedLead& folded,
-                    const EnergyPointOptions& options,
-                    parallel::DevicePool* pool = nullptr)
-      : ctx_(ctx), dm_(dm), lead_(&lead), folded_(&folded), options_(options),
-        pool_(pool) {}
-
-  /// N-terminal variant: the worker routes every point through the
-  /// ContactSet entry (whose symmetric-classic case is the constructor
-  /// above's path, bit for bit).  The set's leads/folded must outlive the
-  /// worker; the set itself is copied.
-  EnergySweepWorker(EnergyPointContext& ctx, const dft::DeviceMatrices& dm,
-                    ContactSet contacts, const EnergyPointOptions& options,
-                    parallel::DevicePool* pool = nullptr)
-      : ctx_(ctx), dm_(dm), contacts_(std::move(contacts)), options_(options),
-        pool_(pool) {}
-
-  EnergyPointResult solve(double energy) {
-    if (!contacts_.empty())
-      return solve_energy_point(ctx_, dm_, contacts_, energy, options_, pool_);
-    return solve_energy_point(ctx_, dm_, *lead_, *folded_, energy, options_,
-                              pool_);
-  }
-
-  std::vector<cplx> solve_greens(cplx energy,
-                                 const EnergyPointOptions& options) {
-    if (!contacts_.empty())
-      return solve_greens_diagonal(ctx_, dm_, contacts_, energy, options);
-    return solve_greens_diagonal(ctx_, dm_, *lead_, *folded_, energy, options);
-  }
-
-  const ContactSet& contacts() const noexcept { return contacts_; }
-
- private:
-  EnergyPointContext& ctx_;
-  const dft::DeviceMatrices& dm_;
-  const dft::LeadBlocks* lead_ = nullptr;
-  const dft::FoldedLead* folded_ = nullptr;
-  ContactSet contacts_;  ///< empty = classic two-identical-contacts mode
-  EnergyPointOptions options_;
-  parallel::DevicePool* pool_;
-};
 
 /// Member-side counterpart of a cooperative spatial solve: assemble this
 /// rank's copy of A = E*S - H for the point, compute the SPIKE partitions
@@ -327,21 +286,17 @@ struct FetchedBoundary {
   }
 };
 
-/// Stage 2: compute (or fetch) the boundary for one (k, E, shift) under the
-/// options' cache discipline — find first, insert on miss (first insert is
-/// canonical), compute without storing when no cache is bound.  `energy` may
-/// sit off the real axis (contour charge quadrature); the cache key carries
-/// Im(E) so contour nodes cache across SCF iterations like real points do.
-FetchedBoundary fetch_boundary(obc::Strategy& strategy,
-                               const dft::LeadBlocks& lead,
-                               const dft::FoldedLead& folded, cplx energy,
-                               const EnergyPointOptions& options);
-
-/// Per-contact variant: the cache key carries the contact's canonical id,
-/// its own shift, and its lead content hash, so dissimilar leads and
-/// per-contact shifts cache (and invalidate) independently.  The boundary
-/// itself is evaluated at E - contact.shift regardless of the global
-/// options.obc_opts.contact_shift.
+/// Stage 2: compute (or fetch) one contact's boundary under the options'
+/// cache discipline — find first, insert on miss (first insert is
+/// canonical), compute without storing when no cache is bound.  The cache
+/// key carries the contact's canonical id, its own shift, and its lead
+/// content hash, so dissimilar leads and per-contact shifts cache (and
+/// invalidate) independently; the classic identical pair keys under
+/// contact id 0, lead_hash 0 and the global shift.  The boundary is
+/// evaluated at E - contact.shift regardless of the global
+/// options.obc_opts.contact_shift.  `energy` may sit off the
+/// real axis (contour charge quadrature); the key carries Im(E) so contour
+/// nodes cache across SCF iterations like real points do.
 FetchedBoundary fetch_boundary(obc::Strategy& strategy, const Contact& contact,
                                int contact_id, cplx energy,
                                const EnergyPointOptions& options);
@@ -357,9 +312,8 @@ struct RhsShape {
 };
 
 /// `left` supplies the source-side data (sigma_l, inj), `right` the
-/// drain-side data (sigma_r, inj_r, mode basis).  The symmetric pipeline
-/// passes the same Boundary for both — every read then aliases the
-/// pre-refactor single-boundary arithmetic exactly.
+/// drain-side data (sigma_r, inj_r, mode basis).  A pair sharing one
+/// boundary (and the batched pipeline) passes the same Boundary for both.
 RhsShape rhs_shape(const obc::Boundary& left, const obc::Boundary& right,
                    bool have_injection, idx sf,
                    const EnergyPointOptions& options);

@@ -1,7 +1,8 @@
 // Tests for the N-terminal contact layer: ContactSet geometry/routing
-// helpers, the lead content hash, and the per-contact partitioning of the
+// helpers, the lead content hash, the per-contact partitioning of the
 // BoundaryCache (dissimilar leads must cache — and invalidate —
-// independently).
+// independently), and the two-terminal solve's cache key and boundary
+// sharing.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -211,6 +212,113 @@ TEST(BoundaryCache, LeadHashKeysDissimilarMaterials) {
   cache.insert(a, bnd);
   EXPECT_NE(cache.find(a), nullptr);
   EXPECT_EQ(cache.find(b), nullptr);
+}
+
+// ------------------------------------------------- two-terminal solve --
+
+namespace {
+
+// Chain device with an on-site barrier over the middle cells, and options
+// for a mode-based OBC so every observable (T, Caroli, both densities,
+// bond currents) is exercised.
+df::DeviceMatrices barrier_device(const df::LeadBlocks& lead, idx cells) {
+  std::vector<double> pot(static_cast<std::size_t>(cells), 0.0);
+  for (idx i = cells / 3; i < 2 * cells / 3; ++i)
+    pot[static_cast<std::size_t>(i)] = 0.4;
+  return df::assemble_device(lead, cells, pot);
+}
+
+tr::EnergyPointOptions mode_options(double shift) {
+  tr::EnergyPointOptions opts;
+  opts.obc = tr::ObcAlgorithm::kShiftInvert;
+  opts.solver = tr::SolverAlgorithm::kBlockLU;
+  opts.obc_opts.contact_shift = shift;
+  return opts;
+}
+
+}  // namespace
+
+TEST(TwoTerminal, ClassicSolveReadsTheClassicCacheKey) {
+  // The classic (lead, folded) overload caches its boundary under
+  // {k, E, shift, obc, Im E = 0} with contact id 0 and lead_hash 0.
+  // Boundaries stored by earlier runs replay only under that key, so a
+  // pre-seeded entry must serve the solve: one hit, no miss, same T bits.
+  const auto lead = chain_lead(-1.0, 0.1);
+  const auto folded = df::fold_lead(lead);
+  const auto dm = barrier_device(lead, 9);
+  const double e = 0.3, shift = 0.05;
+  tr::EnergyPointOptions opts = mode_options(shift);
+  opts.k_index = 3;
+
+  ob::BoundaryCache cache;
+  ob::BoundaryKey key{/*k=*/3, /*energy=*/e, /*contact_shift=*/shift,
+                      static_cast<int>(opts.obc), /*energy_imag=*/0.0};
+  key.contact = 0;
+  key.lead_hash = 0;
+  cache.insert(key, ob::make_obc_strategy(opts.obc)
+                        ->boundary(lead, folded, cplx{e, 0.0},
+                                   opts.obc_opts));
+
+  const auto uncached = tr::solve_energy_point(dm, lead, folded, e, opts);
+  opts.boundary_cache = &cache;
+  const auto cached = tr::solve_energy_point(dm, lead, folded, e, opts);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_GT(uncached.transmission, 0.0);
+  EXPECT_EQ(cached.transmission, uncached.transmission);
+  EXPECT_EQ(cached.transmission_caroli, uncached.transmission_caroli);
+}
+
+TEST(TwoTerminal, SharedFetchMatchesTwoFetchesBitwise) {
+  // ContactSet::pair shares one lead object between both ends, so the
+  // solve fetches one boundary and reads both sides from it.  Two distinct
+  // copies of the same lead (lead_hash 0 each) are not same_boundary and
+  // fetch twice.  The two branches must agree bit for bit.
+  const auto lead = chain_lead(-1.0, 0.1);
+  const auto copy = lead;
+  const auto folded = df::fold_lead(lead);
+  const auto folded_copy = df::fold_lead(copy);
+  const auto dm = barrier_device(lead, 9);
+  const double shift = 0.05;
+  const auto shared = tr::ContactSet::pair(lead, folded, 0.0, 0.0, shift);
+  std::vector<tr::Contact> cs(2);
+  cs[0] = tr::Contact{&lead, &folded, 0.0, shift, 0};
+  cs[1] = tr::Contact{&copy, &folded_copy, 0.0, shift, tr::kLastBlock};
+  const tr::ContactSet copies(std::move(cs));
+  ASSERT_TRUE(shared.same_boundary(0, 1));
+  ASSERT_FALSE(copies.same_boundary(0, 1));
+
+  tr::EnergyPointOptions opts = mode_options(shift);
+  int with_density = 0;
+  for (const double e : {-1.4, -0.5, 0.2, 0.9, 1.6}) {
+    const auto a = tr::solve_energy_point(dm, shared, e, opts);
+    const auto b = tr::solve_energy_point(dm, copies, e, opts);
+    if (!a.orbital_density.empty() && !a.orbital_density_r.empty())
+      ++with_density;
+    EXPECT_EQ(a.transmission, b.transmission) << e;
+    EXPECT_EQ(a.transmission_caroli, b.transmission_caroli) << e;
+    EXPECT_EQ(a.num_propagating, b.num_propagating) << e;
+    EXPECT_EQ(a.orbital_density, b.orbital_density) << e;
+    EXPECT_EQ(a.orbital_density_r, b.orbital_density_r) << e;
+    EXPECT_EQ(a.interface_current, b.interface_current) << e;
+  }
+  EXPECT_GT(with_density, 0);  // the density comparisons were not vacuous
+  for (const cplx z : {cplx{-0.5, 0.05}, cplx{0.4, 0.3}})
+    EXPECT_EQ(tr::solve_greens_diagonal(dm, shared, z, opts),
+              tr::solve_greens_diagonal(dm, copies, z, opts));
+
+  // One insertion per point for the shared pair, two for the copies.
+  ob::BoundaryCache shared_cache, copies_cache;
+  opts.boundary_cache = &shared_cache;
+  const auto a = tr::solve_energy_point(dm, shared, 0.2, opts);
+  opts.boundary_cache = &copies_cache;
+  const auto b = tr::solve_energy_point(dm, copies, 0.2, opts);
+  EXPECT_EQ(a.transmission, b.transmission);
+  EXPECT_EQ(shared_cache.stats().insertions, 1u);
+  EXPECT_EQ(copies_cache.stats().insertions, 2u);
 }
 
 // ----------------------------------------- Buettiker current edge cases --
