@@ -12,6 +12,56 @@ namespace {
 // Default panel width for the blocked right-looking factorization and the
 // blocked triangular solves.
 constexpr idx kDefaultPanel = 64;
+
+// Complex product (a + ib)(c + id) with the rounding of the contract in
+// lu.hpp.  A std::complex product's NaN-recovery branch (__muldc3) keeps a
+// loop scalar; written out, the loops below vectorize.  The explicit
+// std::fma stops the compiler from picking its own contraction per call
+// site, and the operand order at each call is part of the contract.
+#ifdef __FMA__
+inline double mul_re(double a, double b, double c, double d) {
+  return std::fma(a, c, -(b * d));
+}
+inline double mul_im(double a, double b, double c, double d) {
+  return std::fma(a, d, b * c);
+}
+#else
+inline double mul_re(double a, double b, double c, double d) {
+  return a * c - b * d;
+}
+inline double mul_im(double a, double b, double c, double d) {
+  return a * d + b * c;
+}
+#endif
+
+inline cplx mul(cplx x, cplx y) {
+  return {mul_re(x.real(), x.imag(), y.real(), y.imag()),
+          mul_im(x.real(), x.imag(), y.real(), y.imag())};
+}
+
+// x[j] -= l * y[j] for j in [0, n), on the interleaved re/im doubles.
+inline void sub_scaled(cplx* __restrict x, cplx l, const cplx* __restrict y,
+                       idx n) {
+  double* xd = reinterpret_cast<double*>(x);
+  const double* yd = reinterpret_cast<const double*>(y);
+  const double lr = l.real(), li = l.imag();
+  for (idx j = 0; j < n; ++j) {
+    const double yr = yd[2 * j], yi = yd[2 * j + 1];
+    xd[2 * j] -= mul_re(lr, li, yr, yi);
+    xd[2 * j + 1] -= mul_im(lr, li, yr, yi);
+  }
+}
+
+// x[j] *= s for j in [0, n).
+inline void scale(cplx* x, cplx s, idx n) {
+  double* xd = reinterpret_cast<double*>(x);
+  const double sr = s.real(), si = s.imag();
+  for (idx j = 0; j < n; ++j) {
+    const double xr = xd[2 * j], xi = xd[2 * j + 1];
+    xd[2 * j] = mul_re(xr, xi, sr, si);
+    xd[2 * j + 1] = mul_im(xr, xi, sr, si);
+  }
+}
 }  // namespace
 
 LUFactor::LUFactor(CMatrix a, Pivoting pivoting, idx panel) : lu_(std::move(a)) {
@@ -54,12 +104,12 @@ LUFactor::LUFactor(CMatrix a, Pivoting pivoting, idx panel) : lu_(std::move(a)) 
       const cplx* krow = lu_.row_ptr(k);
       for (idx i = k + 1; i < n; ++i) {
         cplx* irow = lu_.row_ptr(i);
-        const cplx lik = irow[k] * inv_pivot;
+        const cplx lik = mul(inv_pivot, irow[k]);
         irow[k] = lik;
         if (lik == cplx{0.0}) continue;
         // Rank-1 update restricted to the remaining panel columns; the
         // trailing block gets its update from the GEMM below.
-        for (idx j = k + 1; j < kend; ++j) irow[j] -= lik * krow[j];
+        sub_scaled(irow + k + 1, lik, krow + k + 1, kend - k - 1);
       }
     }
     if (kend == n) break;
@@ -72,7 +122,7 @@ LUFactor::LUFactor(CMatrix a, Pivoting pivoting, idx panel) : lu_(std::move(a)) 
         const cplx lik = lu_(i, k);
         if (lik == cplx{0.0}) continue;
         cplx* irow = lu_.row_ptr(i);
-        for (idx j = kend; j < n; ++j) irow[j] -= lik * krow[j];
+        sub_scaled(irow + kend, lik, krow + kend, n - kend);
       }
     }
 
@@ -109,8 +159,7 @@ CMatrix LUFactor::solve(const CMatrix& b) const {
       for (idx k = k0; k < i; ++k) {
         const cplx lik = lrow[k];
         if (lik == cplx{0.0}) continue;
-        const cplx* xk = x.row_ptr(k);
-        for (idx j = 0; j < nrhs; ++j) xrow[j] -= lik * xk[j];
+        sub_scaled(xrow, lik, x.row_ptr(k), nrhs);
       }
     }
     if (kend < n)
@@ -127,11 +176,9 @@ CMatrix LUFactor::solve(const CMatrix& b) const {
       for (idx k = i + 1; k < kend; ++k) {
         const cplx uik = urow[k];
         if (uik == cplx{0.0}) continue;
-        const cplx* xk = x.row_ptr(k);
-        for (idx j = 0; j < nrhs; ++j) xrow[j] -= uik * xk[j];
+        sub_scaled(xrow, uik, x.row_ptr(k), nrhs);
       }
-      const cplx inv = cplx{1.0} / urow[i];
-      for (idx j = 0; j < nrhs; ++j) xrow[j] *= inv;
+      scale(xrow, cplx{1.0} / urow[i], nrhs);
     }
     if (k0 > 0)
       gemm_view('N', lu_.row_ptr(0) + k0, n, 'N', x.row_ptr(k0), nrhs, k0,
@@ -160,11 +207,9 @@ CMatrix LUFactor::solve_left(const CMatrix& b) const {
     for (idx k = 0; k < i; ++k) {
       const cplx uki = lu_(k, i);  // (U^T)(i,k) = U(k,i)
       if (uki == cplx{0.0}) continue;
-      const cplx* xk = x.row_ptr(k);
-      for (idx j = 0; j < nrhs; ++j) xrow[j] -= uki * xk[j];
+      sub_scaled(xrow, uki, x.row_ptr(k), nrhs);
     }
-    const cplx inv = cplx{1.0} / lu_(i, i);
-    for (idx j = 0; j < nrhs; ++j) xrow[j] *= inv;
+    scale(xrow, cplx{1.0} / lu_(i, i), nrhs);
   }
   // Backward substitution with L^T (upper triangular, unit diagonal):
   for (idx i = n - 1; i >= 0; --i) {
@@ -172,8 +217,7 @@ CMatrix LUFactor::solve_left(const CMatrix& b) const {
     for (idx k = i + 1; k < n; ++k) {
       const cplx lki = lu_(k, i);  // (L^T)(i,k) = L(k,i)
       if (lki == cplx{0.0}) continue;
-      const cplx* xk = x.row_ptr(k);
-      for (idx j = 0; j < nrhs; ++j) xrow[j] -= lki * xk[j];
+      sub_scaled(xrow, lki, x.row_ptr(k), nrhs);
     }
   }
   // x currently holds v with A^T = U^T L^T P => v = P x_final, so

@@ -6,11 +6,28 @@
 //
 // The factorization is right-looking and blocked: panels are factored
 // unblocked, then the trailing submatrix is updated with the packed GEMM
-// kernel, so the O(n^3) work runs at GEMM speed.  FLOPs are accounted
-// analytically — (8/3) n^3 for the factorization, 8 n^2 nrhs per solve —
-// and the internal GEMM calls are non-counting, so perf::lu_flops /
-// perf::lu_solve_flops match the instrumented counter exactly with no
-// double counting from the trailing updates.
+// kernel, so at large n the O(n^3) work runs at GEMM speed.  At the
+// workloads' block sizes (n <= 128, one or two 64-wide panels) most of the
+// work is in-panel instead: the rank-1 and U12 updates and the in-panel
+// triangular-solve loops, written as vectorizable split real/imag loops.
+//
+// Rounding contract: outside the GEMM calls, every complex product
+// (a + ib)(c + id) rounds as re = fma(a, c, -(b*d)), im = fma(a, d, b*c)
+// when the target has FMA (__FMA__), and as a*c - b*d, a*d + b*c without.
+// Operands: (a, b) is the multiplier l in each x -= l*y, x in each
+// x *= 1/pivot scaling, and 1/pivot in each multiplier 1/pivot * a_ik.
+// It is the rounding GCC's contraction gives the same loops written with
+// std::complex products, so results equal those loops' bit for bit; it is
+// pinned because GCC picks the contraction per call site and the pick moves
+// with unrelated edits.  Results differ only where a product overflows to
+// NaN, which std::complex's __muldc3 turns back into an infinity.  The
+// scalar reference in tests/numeric/test_lu.cpp checks the contract bit
+// for bit.
+//
+// FLOPs are accounted analytically — (8/3) n^3 for the factorization,
+// 8 n^2 nrhs per solve — and the internal GEMM calls are non-counting, so
+// perf::lu_flops / perf::lu_solve_flops match the instrumented counter
+// exactly with no double counting from the trailing updates.
 #pragma once
 
 #include <vector>

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "numeric/blas.hpp"
 #include "numeric/matrix.hpp"
 
@@ -136,4 +141,165 @@ TEST(LU, BlockedSolveResidualLarge) {
   const CMatrix b = nm::matmul(a, x_true);
   const CMatrix x = nm::LUFactor(a).solve(b);
   EXPECT_LT(nm::max_abs_diff(x, x_true), 1e-9);
+}
+
+// Rounding contract (lu.hpp): every complex product in LUFactor's own loops
+// rounds as the reference below, and the trailing updates are the same
+// gemm_view calls.  The reference is the plain scalar algorithm, so any
+// edit that moves a last bit of solve or solve_left fails here, including
+// in the vector-remainder lengths of the split loops.
+namespace ref {
+
+#ifdef __FMA__
+cplx mul(cplx x, cplx y) {
+  return {std::fma(x.real(), y.real(), -(x.imag() * y.imag())),
+          std::fma(x.real(), y.imag(), x.imag() * y.real())};
+}
+#else
+cplx mul(cplx x, cplx y) {
+  return {x.real() * y.real() - x.imag() * y.imag(),
+          x.real() * y.imag() + x.imag() * y.real()};
+}
+#endif
+
+constexpr idx kPanel = 64;
+
+struct Factor {
+  CMatrix lu;
+  std::vector<idx> piv;
+};
+
+Factor factor(CMatrix a, nm::Pivoting pivoting) {
+  const idx n = a.rows();
+  std::vector<idx> piv(static_cast<std::size_t>(n));
+  for (idx k0 = 0; k0 < n; k0 += kPanel) {
+    const idx kb = std::min(kPanel, n - k0);
+    const idx kend = k0 + kb;
+    for (idx k = k0; k < kend; ++k) {
+      idx p = k;
+      if (pivoting == nm::Pivoting::kPartial)
+        for (idx i = k + 1; i < n; ++i)
+          if (std::abs(a(i, k)) > std::abs(a(p, k))) p = i;
+      piv[static_cast<std::size_t>(k)] = p;
+      for (idx j = 0; j < n; ++j) std::swap(a(k, j), a(p, j));
+      const cplx inv_pivot = cplx{1.0} / a(k, k);
+      for (idx i = k + 1; i < n; ++i) {
+        a(i, k) = mul(inv_pivot, a(i, k));
+        if (a(i, k) == cplx{0.0}) continue;
+        for (idx j = k + 1; j < kend; ++j) a(i, j) -= mul(a(i, k), a(k, j));
+      }
+    }
+    if (kend == n) break;
+    for (idx k = k0; k < kend; ++k)
+      for (idx i = k + 1; i < kend; ++i) {
+        if (a(i, k) == cplx{0.0}) continue;
+        for (idx j = kend; j < n; ++j) a(i, j) -= mul(a(i, k), a(k, j));
+      }
+    nm::gemm_view('N', a.row_ptr(kend) + k0, n, 'N', a.row_ptr(k0) + kend, n,
+                  n - kend, n - kend, kb, cplx{-1.0}, cplx{1.0},
+                  a.row_ptr(kend) + kend, n, /*count_flops=*/false);
+  }
+  return {std::move(a), std::move(piv)};
+}
+
+CMatrix solve(const Factor& f, CMatrix x) {
+  const CMatrix& lu = f.lu;
+  const idx n = lu.rows();
+  const idx nrhs = x.cols();
+  for (idx k = 0; k < n; ++k)
+    for (idx j = 0; j < nrhs; ++j)
+      std::swap(x(k, j), x(f.piv[static_cast<std::size_t>(k)], j));
+  for (idx k0 = 0; k0 < n; k0 += kPanel) {
+    const idx kend = std::min(k0 + kPanel, n);
+    for (idx i = k0 + 1; i < kend; ++i)
+      for (idx k = k0; k < i; ++k) {
+        if (lu(i, k) == cplx{0.0}) continue;
+        for (idx j = 0; j < nrhs; ++j) x(i, j) -= mul(lu(i, k), x(k, j));
+      }
+    if (kend < n)
+      nm::gemm_view('N', lu.row_ptr(kend) + k0, n, 'N', x.row_ptr(k0), nrhs,
+                    n - kend, nrhs, kend - k0, cplx{-1.0}, cplx{1.0},
+                    x.row_ptr(kend), nrhs, /*count_flops=*/false);
+  }
+  for (idx k0 = (n - 1) / kPanel * kPanel; k0 >= 0; k0 -= kPanel) {
+    const idx kend = std::min(k0 + kPanel, n);
+    for (idx i = kend - 1; i >= k0; --i) {
+      for (idx k = i + 1; k < kend; ++k) {
+        if (lu(i, k) == cplx{0.0}) continue;
+        for (idx j = 0; j < nrhs; ++j) x(i, j) -= mul(lu(i, k), x(k, j));
+      }
+      const cplx inv = cplx{1.0} / lu(i, i);
+      for (idx j = 0; j < nrhs; ++j) x(i, j) = mul(x(i, j), inv);
+    }
+    if (k0 > 0)
+      nm::gemm_view('N', lu.row_ptr(0) + k0, n, 'N', x.row_ptr(k0), nrhs, k0,
+                    nrhs, kend - k0, cplx{-1.0}, cplx{1.0}, x.row_ptr(0), nrhs,
+                    /*count_flops=*/false);
+  }
+  return x;
+}
+
+CMatrix solve_left(const Factor& f, const CMatrix& b) {
+  const CMatrix& lu = f.lu;
+  const idx n = lu.rows();
+  CMatrix x = b.transpose();
+  const idx nrhs = x.cols();
+  for (idx i = 0; i < n; ++i) {
+    for (idx k = 0; k < i; ++k) {
+      if (lu(k, i) == cplx{0.0}) continue;
+      for (idx j = 0; j < nrhs; ++j) x(i, j) -= mul(lu(k, i), x(k, j));
+    }
+    const cplx inv = cplx{1.0} / lu(i, i);
+    for (idx j = 0; j < nrhs; ++j) x(i, j) = mul(x(i, j), inv);
+  }
+  for (idx i = n - 1; i >= 0; --i)
+    for (idx k = i + 1; k < n; ++k) {
+      if (lu(k, i) == cplx{0.0}) continue;
+      for (idx j = 0; j < nrhs; ++j) x(i, j) -= mul(lu(k, i), x(k, j));
+    }
+  for (idx k = n - 1; k >= 0; --k)
+    for (idx j = 0; j < nrhs; ++j)
+      std::swap(x(k, j), x(f.piv[static_cast<std::size_t>(k)], j));
+  return x.transpose();
+}
+
+// Entries whose bit patterns differ (so -0 vs +0 and NaN payloads count).
+idx bit_mismatches(const CMatrix& a, const CMatrix& b) {
+  idx bad = 0;
+  for (idx i = 0; i < a.rows(); ++i)
+    for (idx j = 0; j < a.cols(); ++j)
+      if (std::memcmp(&a(i, j), &b(i, j), sizeof(cplx)) != 0) ++bad;
+  return bad;
+}
+
+}  // namespace ref
+
+TEST(LU, BitwiseMatchesPinnedRoundingReference) {
+  for (const nm::Pivoting piv : {nm::Pivoting::kPartial, nm::Pivoting::kNone}) {
+    for (const idx n : {1, 2, 3, 12, 24, 63, 64, 65, 120, 130, 240}) {
+      const unsigned seed = 500 + unsigned(n);
+      CMatrix a = piv == nm::Pivoting::kPartial ? nm::random_cmatrix(n, n, seed)
+                                                : well_conditioned(n, seed);
+      // Exact zeros off the diagonal exercise the zero-multiplier skips.
+      for (idx i = 0; i < n; ++i)
+        for (idx j = 0; j < n; ++j)
+          if (i != j && (i + 2 * j) % 5 == 1) a(i, j) = cplx{0.0};
+      const nm::LUFactor lu(a, piv);
+      const ref::Factor f = ref::factor(a, piv);
+      ASSERT_EQ(lu.pivots().size(), f.piv.size());
+      for (std::size_t k = 0; k < f.piv.size(); ++k)
+        ASSERT_EQ(lu.pivots()[k], f.piv[k]) << "n=" << n << " k=" << k;
+      for (const idx nrhs : {1, 7, 96, 240}) {
+        const CMatrix b = nm::random_cmatrix(n, nrhs, seed + unsigned(nrhs));
+        const CMatrix bl = nm::random_cmatrix(nrhs, n, seed + 7 * unsigned(nrhs));
+        EXPECT_EQ(ref::bit_mismatches(lu.solve(b), ref::solve(f, b)), 0)
+            << "solve n=" << n << " nrhs=" << nrhs
+            << " partial=" << (piv == nm::Pivoting::kPartial);
+        EXPECT_EQ(ref::bit_mismatches(lu.solve_left(bl), ref::solve_left(f, bl)),
+                  0)
+            << "solve_left n=" << n << " nrhs=" << nrhs
+            << " partial=" << (piv == nm::Pivoting::kPartial);
+      }
+    }
+  }
 }
