@@ -362,7 +362,8 @@ class SplitSolveSolver final : public Solver {
            kUsesDevicePool | kBatchable;
   }
   void prepare_batched(const std::vector<const BlockTridiag*>& systems,
-                       numeric::Backend& backend) override {
+                       numeric::Backend& backend,
+                       RowSet rows = RowSet::kAll) override {
     // Step 1 (Q_i = A_i^{-1} B) for the whole batch as one backend
     // dispatch: this is the heavy phase the engine overlaps with the
     // asynchronous OBC stage.  Each lane runs the *serial* SPIKE
@@ -377,7 +378,7 @@ class SplitSolveSolver final : public Solver {
                        if (systems[p] == nullptr)
                          throw std::invalid_argument(
                              "splitsolve: null system in batch");
-                       qs_[p] = spike_block_columns(*systems[p], so);
+                       qs_[p] = spike_block_columns(*systems[p], so, rows);
                      });
   }
   std::vector<CMatrix> solve_boundary_batched(
@@ -395,6 +396,7 @@ class SplitSolveSolver final : public Solver {
         systems[p] = problems[p].a;
       prepare_batched(systems, backend);
     }
+    // Each x has its Q's rows: the row set prepare_batched kept.
     std::vector<CMatrix> xs(problems.size());
     backend.dispatch("splitsolve_smw_batched", problems.size(),
                      [&](std::size_t p) {
@@ -406,7 +408,7 @@ class SplitSolveSolver final : public Solver {
     qs_.clear();  // Q is per-system; the next batch prepares anew
     return xs;
   }
-  void prepare(const BlockTridiag& a) override {
+  void prepare(const BlockTridiag& a, RowSet rows = RowSet::kAll) override {
     const bool spatial = ctx_.spatial != nullptr && ctx_.spatial->size() > 1;
     if (!spatial && ctx_.pool == nullptr)
       throw std::invalid_argument(
@@ -419,7 +421,7 @@ class SplitSolveSolver final : public Solver {
     // async consumer alive, and two consumers on one spatial communicator
     // would race for the members' partition messages.
     split_.reset();
-    split_ = std::make_unique<SplitSolve>(a, ctx_.pool, opts);
+    split_ = std::make_unique<SplitSolve>(a, ctx_.pool, opts, rows);
   }
   CMatrix solve_boundary(const BlockTridiag& a, const CMatrix& sigma_l,
                          const CMatrix& sigma_r, const CMatrix& b_top,

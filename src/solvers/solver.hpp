@@ -28,6 +28,7 @@
 
 #include "blockmat/block_tridiag.hpp"
 #include "numeric/matrix.hpp"
+#include "solvers/spike.hpp"
 
 namespace omenx::numeric {
 class Backend;
@@ -147,8 +148,15 @@ class Solver {
   /// Early hook called with A = E*S - H *before* the boundary self-energies
   /// are known.  kOverlapPrepare backends start asynchronous work here;
   /// everyone else ignores it.  `a` must outlive the following
-  /// solve_boundary call.
-  virtual void prepare(const BlockTridiag& a) { (void)a; }
+  /// solve_boundary call.  `rows` names the block rows of x the caller
+  /// reads: with RowSet::kEnds a backend may return only x's first and last
+  /// block rows (2s x m) from the following solve_boundary — splitsolve
+  /// does, off the spatial route — so the caller reads the last block row
+  /// at x.rows() - s.  Every other backend returns all rows.
+  virtual void prepare(const BlockTridiag& a, RowSet rows = RowSet::kAll) {
+    (void)a;
+    (void)rows;
+  }
 
   /// Factor the (boundary-applied) system.  kFactorSolve only; others throw
   /// std::logic_error.
@@ -173,11 +181,14 @@ class Solver {
   /// batch's heavy phase here (SplitSolve Step 1 for every system as one
   /// backend dispatch) so it overlaps with the asynchronous OBC stage.
   /// Default: nothing to prepare.  The systems must outlive the following
-  /// solve_boundary_batched call and match it element for element.
+  /// solve_boundary_batched call and match it element for element.  `rows`
+  /// as for prepare().
   virtual void prepare_batched(const std::vector<const BlockTridiag*>& systems,
-                               numeric::Backend& backend) {
+                               numeric::Backend& backend,
+                               RowSet rows = RowSet::kAll) {
     (void)systems;
     (void)backend;
+    (void)rows;
   }
 
   /// Solve a batch of same-shape boundary problems, issuing the heavy

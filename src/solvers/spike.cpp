@@ -69,6 +69,35 @@ CMatrix bot_rows(const CMatrix& mat, idx s) {
                          : mat.block(mat.rows() - s, 0, s, mat.cols());
 }
 
+/// `mat` itself for RowSet::kAll; its first and last block rows stacked
+/// (2s rows) for RowSet::kEnds.
+CMatrix keep_rows(CMatrix mat, idx s, RowSet rows) {
+  if (rows == RowSet::kAll) return mat;
+  CMatrix ends(2 * s, mat.cols());
+  ends.set_block(0, 0, top_rows(mat, s));
+  ends.set_block(s, 0, bot_rows(mat, s));
+  return ends;
+}
+
+/// Whether partition j's corrected rows reach Q: every partition's do for
+/// kAll, only the first and the last partition's for kEnds.
+bool partition_reaches_q(int j, int p, RowSet rows) {
+  return rows == RowSet::kAll || j == 0 || j == p - 1;
+}
+
+/// Copies partition j's corrected rows x_j into Q: its block range for
+/// kAll; for kEnds the first partition's top block row (Q rows [0, s)) and
+/// the last partition's bottom block row (Q rows [s, 2s)).
+void place_partition_rows(CMatrix& q, const SpikePartition& pd, int j, int p,
+                          const CMatrix& xj, idx s, RowSet rows) {
+  if (rows == RowSet::kAll) {
+    q.set_block(pd.lo * s, 0, xj);
+    return;
+  }
+  if (j == 0) q.set_block(0, 0, top_rows(xj, s));
+  if (j == p - 1) q.set_block(s, 0, bot_rows(xj, s));
+}
+
 /// Reduced interface system ("spike merge"): unknowns per interface i are
 /// u_i = [x_i^{bot}; x_{i+1}^{top}] where x_j^{top/bot} are the first/last
 /// s rows of partition j's solution.
@@ -106,13 +135,14 @@ namespace {
 /// diagonal path, which needs the same local matrix for further sweeps).
 SpikePartition partition_from_local(const BlockTridiag& a,
                                     const BlockTridiag& local, idx lo,
-                                    idx hi) {
+                                    idx hi, RowSet rows) {
   SpikePartition pd;
   pd.lo = lo;
   pd.hi = hi;
-  pd.first_col = rgf_first_block_column(local);
-  pd.last_col = rgf_last_block_column(local);
-  // Spikes toward the neighbours.
+  const idx s = a.block_size();
+  pd.first_col = keep_rows(rgf_first_block_column(local), s, rows);
+  pd.last_col = keep_rows(rgf_last_block_column(local), s, rows);
+  // Spikes toward the neighbours (one row per kept column row).
   if (hi < a.num_blocks()) numeric::gemm(pd.last_col, a.upper(hi - 1), pd.v);
   if (lo > 0) numeric::gemm(pd.first_col, a.lower(lo - 1), pd.w);
   return pd;
@@ -120,9 +150,10 @@ SpikePartition partition_from_local(const BlockTridiag& a,
 
 }  // namespace
 
-SpikePartition spike_compute_partition(const BlockTridiag& a, int j, int p) {
+SpikePartition spike_compute_partition(const BlockTridiag& a, int j, int p,
+                                       RowSet rows) {
   const auto [lo, hi] = spike_partition_bounds(a.num_blocks(), j, p);
-  return partition_from_local(a, extract_partition(a, lo, hi), lo, hi);
+  return partition_from_local(a, extract_partition(a, lo, hi), lo, hi, rows);
 }
 
 CMatrix spike_reduced_solve(const std::vector<SpikePartition>& parts, idx s) {
@@ -162,8 +193,7 @@ CMatrix spike_reduced_solve(const std::vector<SpikePartition>& parts, idx s) {
 
 CMatrix spike_partition_correction(const SpikePartition& pd, int j, int p,
                                    const CMatrix& u, idx s, idx m) {
-  const idx nloc = (pd.hi - pd.lo) * s;
-  CMatrix xj(nloc, m);
+  CMatrix xj(pd.first_col.rows(), m);
   if (j == 0) xj.set_block(0, 0, pd.first_col);
   if (j == p - 1) xj.set_block(0, s, pd.last_col);
   if (j < p - 1 && pd.v.rows() > 0) {
@@ -182,43 +212,45 @@ CMatrix spike_partition_correction(const SpikePartition& pd, int j, int p,
 namespace {
 
 /// Reduced solve + corrections + assembly, shared by the host and spatial
-/// paths (the pool path keeps its per-device version of the same calls).
+/// paths (the pool path runs the same calls on its devices).
 CMatrix assemble_columns(const BlockTridiag& a,
-                         const std::vector<SpikePartition>& parts) {
+                         const std::vector<SpikePartition>& parts,
+                         RowSet rows) {
   const int p = static_cast<int>(parts.size());
   const idx s = a.block_size();
   const idx m = 2 * s;
-  CMatrix q(a.dim(), m);
-  if (p == 1) {
-    q.set_block(0, 0, parts[0].first_col);
-    q.set_block(0, s, parts[0].last_col);
-    return q;
-  }
-  const CMatrix u = spike_reduced_solve(parts, s);
+  CMatrix q(rows == RowSet::kAll ? a.dim() : 2 * s, m);
+  // A single partition has no spikes: its correction is [first, last].
+  const CMatrix u = p > 1 ? spike_reduced_solve(parts, s) : CMatrix();
   for (int j = 0; j < p; ++j) {
+    if (!partition_reaches_q(j, p, rows)) continue;
     const auto& pd = parts[static_cast<std::size_t>(j)];
-    q.set_block(pd.lo * s, 0, spike_partition_correction(pd, j, p, u, s, m));
+    place_partition_rows(q, pd, j, p,
+                         spike_partition_correction(pd, j, p, u, s, m), s,
+                         rows);
   }
   return q;
 }
 
 }  // namespace
 
-CMatrix spike_block_columns(const BlockTridiag& a, const SpikeOptions& options) {
+CMatrix spike_block_columns(const BlockTridiag& a, const SpikeOptions& options,
+                            RowSet rows) {
   const idx nb = a.num_blocks();
   const int p = options.partitions;
   if (!spike_partitioning_valid(nb, p))
     throw std::invalid_argument(
         "spike_block_columns: partitions must be a power of two and <= nb");
-  if (p == 1) return rgf_block_columns(a);
+  if (p == 1) return keep_rows(rgf_block_columns(a), a.block_size(), rows);
   std::vector<SpikePartition> parts;
   parts.reserve(static_cast<std::size_t>(p));
-  for (int j = 0; j < p; ++j) parts.push_back(spike_compute_partition(a, j, p));
-  return assemble_columns(a, parts);
+  for (int j = 0; j < p; ++j)
+    parts.push_back(spike_compute_partition(a, j, p, rows));
+  return assemble_columns(a, parts, rows);
 }
 
 CMatrix spike_block_columns(const BlockTridiag& a, parallel::DevicePool& pool,
-                            const SpikeOptions& options) {
+                            const SpikeOptions& options, RowSet rows) {
   const idx nb = a.num_blocks();
   const idx s = a.block_size();
   const int p = options.partitions;
@@ -235,7 +267,7 @@ CMatrix spike_block_columns(const BlockTridiag& a, parallel::DevicePool& pool,
                        static_cast<std::uint64_t>(a.nnz(0.0)) * 16u);
                    pool.device(0).record_h2d(
                        static_cast<std::uint64_t>(a.dim()) * s * 16u);
-                   q = rgf_block_columns(a);
+                   q = keep_rows(rgf_block_columns(a), s, rows);
                    pool.device(0).record_d2h(
                        static_cast<std::uint64_t>(q.size()) * 16u);
                  })
@@ -252,7 +284,7 @@ CMatrix spike_block_columns(const BlockTridiag& a, parallel::DevicePool& pool,
     auto& pd = parts[static_cast<std::size_t>(j)];
     auto& buf = storage[static_cast<std::size_t>(j)];
     auto& dev = pool.device(j % pool.size());
-    futs.push_back(dev.enqueue("P1-P2", [&a, &pd, &buf, &dev, s, j, p] {
+    futs.push_back(dev.enqueue("P1-P2", [&a, &pd, &buf, &dev, s, j, p, rows] {
       const auto [lo, hi] = spike_partition_bounds(a.num_blocks(), j, p);
       // Device memory: partition blocks + two block columns.
       const idx nloc = (hi - lo) * s;
@@ -262,7 +294,7 @@ CMatrix spike_block_columns(const BlockTridiag& a, parallel::DevicePool& pool,
       buf = dev.allocate(bytes);
       dev.record_h2d(static_cast<std::uint64_t>((3 * (hi - lo) - 2) * s * s) *
                      16u);
-      pd = spike_compute_partition(a, j, p);
+      pd = spike_compute_partition(a, j, p, rows);
     }));
   }
   for (auto& f : futs) f.get();
@@ -276,16 +308,17 @@ CMatrix spike_block_columns(const BlockTridiag& a, parallel::DevicePool& pool,
 
   // Final correction per partition: x_j = y_j - V_j t_{j+1} - W_j b_{j-1}.
   const idx m = 2 * s;
-  CMatrix q(a.dim(), m);
+  CMatrix q(rows == RowSet::kAll ? a.dim() : 2 * s, m);
   std::vector<std::future<void>> post;
   post.reserve(static_cast<std::size_t>(p));
   for (int j = 0; j < p; ++j) {
+    if (!partition_reaches_q(j, p, rows)) continue;
     auto& pd = parts[static_cast<std::size_t>(j)];
     auto& dev = pool.device(j % pool.size());
     post.push_back(dev.enqueue("P3-P4", [&, j] {
       const CMatrix xj = spike_partition_correction(pd, j, p, u, s, m);
       dev.record_d2h(static_cast<std::uint64_t>(xj.size()) * 16u);
-      q.set_block(pd.lo * s, 0, xj);
+      place_partition_rows(q, pd, j, p, xj, s, rows);
     }));
   }
   for (auto& f : post) f.get();
@@ -340,7 +373,7 @@ CMatrix spike_block_columns_spatial_root(const BlockTridiag& a,
   if (poisoned)
     throw std::runtime_error(
         "spike spatial solve: a member rank failed to compute its partitions");
-  return assemble_columns(a, parts);
+  return assemble_columns(a, parts, RowSet::kAll);
 }
 
 void spike_spatial_member(const BlockTridiag& a, parallel::Comm& comm,
@@ -415,7 +448,7 @@ std::vector<CMatrix> spike_diagonal_blocks(const BlockTridiag& a,
     auto& d = dp[static_cast<std::size_t>(j)];
     const auto [lo, hi] = spike_partition_bounds(nb, j, p);
     const BlockTridiag local = extract_partition(a, lo, hi);
-    d.pd = partition_from_local(a, local, lo, hi);
+    d.pd = partition_from_local(a, local, lo, hi, RowSet::kAll);
     d.dloc = rgf_diagonal_blocks(local);
     const BlockTridiag local_t = block_transpose(local);
     d.top_rows_t = rgf_first_block_column(local_t);

@@ -15,6 +15,15 @@
 // and the per-step merge cost shows up as the reduced solve, which the
 // fig07 bench measures as the spike overhead.
 //
+// A transmission-only request needs only the first and last block rows of
+// Q (RowSet::kEnds).  SPIKE's reduced system reads only the spike tips
+// (Polizzi & Sameh, Parallel Computing 32(2), 177 (2006)), so each
+// partition keeps only its local columns' end block rows once the RGF
+// sweeps are done: the spikes, the reduced system and the corrections then
+// work on those rows, and Q shrinks to 2s x 2s.  Every kept row is bitwise
+// the full path's row (a GEMM output row depends on its own operand row
+// only).
+//
 // The per-partition arithmetic depends only on (a, j, p) — never on where
 // the partition executes.  That is what makes the rank-distributed variant
 // (spike_block_columns_spatial_root / spike_spatial_member) bit-identical
@@ -42,16 +51,23 @@ struct SpikeOptions {
   int partitions = 2;  ///< power of two, <= number of blocks
 };
 
-/// Global [A^{-1}_{:,first}, A^{-1}_{:,last}] (dim x 2s) computed with
-/// `options.partitions` partitions on `pool`'s devices (partition j runs on
-/// device j % pool.size()).
+/// Block rows a block-column computation returns: every row (dim x cols),
+/// or only the first and the last block row stacked (2s x cols; for a
+/// single block the two coincide and appear twice).
+enum class RowSet { kAll, kEnds };
+
+/// Global [A^{-1}_{:,first}, A^{-1}_{:,last}] (dim x 2s, or 2s x 2s for
+/// RowSet::kEnds) computed with `options.partitions` partitions on `pool`'s
+/// devices (partition j runs on device j % pool.size()).
 CMatrix spike_block_columns(const BlockTridiag& a, parallel::DevicePool& pool,
-                            const SpikeOptions& options = {});
+                            const SpikeOptions& options = {},
+                            RowSet rows = RowSet::kAll);
 
 /// Host-only variant: partitions computed inline on the calling thread (no
 /// device pool, no transfer accounting).  Same arithmetic, same result.
 CMatrix spike_block_columns(const BlockTridiag& a,
-                            const SpikeOptions& options = {});
+                            const SpikeOptions& options = {},
+                            RowSet rows = RowSet::kAll);
 
 /// Validity check used by callers: partitions must be a power of two and
 /// leave at least one block per partition.
@@ -63,8 +79,10 @@ bool spike_partitioning_valid(idx num_blocks, int partitions);
 /// inverse's first/last block columns and the spikes toward its neighbours.
 struct SpikePartition {
   idx lo = 0, hi = 0;  ///< block range [lo, hi)
-  CMatrix first_col;   ///< local A_j^{-1} first block column ((hi-lo)*s x s)
-  CMatrix last_col;    ///< local A_j^{-1} last block column
+  /// Local A_j^{-1} first block column: (hi-lo)*s x s, or its end block rows
+  /// (2s x s) when computed for RowSet::kEnds.  v and w follow its rows.
+  CMatrix first_col;
+  CMatrix last_col;    ///< local A_j^{-1} last block column (same rows)
   CMatrix v;           ///< spike V_j = last_col * upper(hi-1)  (empty for last)
   CMatrix w;           ///< spike W_j = first_col * lower(lo-1) (empty for first)
 };
@@ -75,8 +93,10 @@ std::pair<idx, idx> spike_partition_bounds(idx nb, int j, int p);
 
 /// Phases P1/P2 for partition j: local RGF block columns plus spikes.
 /// Identical arithmetic wherever it runs — host thread, device stream, or
-/// remote spatial rank.
-SpikePartition spike_compute_partition(const BlockTridiag& a, int j, int p);
+/// remote spatial rank.  With RowSet::kEnds the columns are cut to their
+/// end block rows right after the RGF sweeps, before the spikes are formed.
+SpikePartition spike_compute_partition(const BlockTridiag& a, int j, int p,
+                                       RowSet rows = RowSet::kAll);
 
 /// Reduced interface system solve ("spike merge"): interface unknowns
 /// u_i = [x_i^{bot}; x_{i+1}^{top}] for the global RHS [e_first, e_last].
@@ -84,7 +104,8 @@ SpikePartition spike_compute_partition(const BlockTridiag& a, int j, int p);
 CMatrix spike_reduced_solve(const std::vector<SpikePartition>& parts, idx s);
 
 /// Final correction for partition j: x_j = y_j - V_j t_{j+1} - W_j b_{j-1}
-/// ((hi-lo)*s x m).  `u` is the reduced solution, `m` its column count.
+/// (one row per row of pd.first_col).  `u` is the reduced solution, `m` its
+/// column count.
 CMatrix spike_partition_correction(const SpikePartition& pd, int j, int p,
                                    const CMatrix& u, idx s, idx m);
 

@@ -14,7 +14,7 @@ using numeric::cplx;
 using numeric::idx;
 
 SplitSolve::SplitSolve(const BlockTridiag& a, parallel::DevicePool* pool,
-                       SplitSolveOptions options)
+                       SplitSolveOptions options, RowSet rows)
     : dim_(a.dim()), s_(a.block_size()) {
   if (!spike_partitioning_valid(a.num_blocks(), options.partitions))
     throw std::invalid_argument("SplitSolve: invalid partition count");
@@ -29,12 +29,13 @@ SplitSolve::SplitSolve(const BlockTridiag& a, parallel::DevicePool* pool,
       options.spatial != nullptr && options.spatial->size() > 1
           ? options.spatial
           : nullptr;
-  q_future_ = std::async(std::launch::async, [&a, pool, so, spatial] {
+  q_future_ = std::async(std::launch::async, [&a, pool, so, spatial, rows] {
                 if (spatial != nullptr)
                   return spike_block_columns_spatial_root(
                       a, *spatial, so.partitions, /*ends_to_root=*/false);
-                if (pool != nullptr) return spike_block_columns(a, *pool, so);
-                return spike_block_columns(a, so);
+                if (pool != nullptr)
+                  return spike_block_columns(a, *pool, so, rows);
+                return spike_block_columns(a, so, rows);
               }).share();
 }
 
@@ -61,7 +62,11 @@ CMatrix SplitSolve::solve_with_q(const CMatrix& q, idx dim, idx s,
   if (b_top.rows() != s || b_bottom.rows() != s ||
       b_top.cols() != b_bottom.cols())
     throw std::invalid_argument("SplitSolve::solve: RHS size mismatch");
+  if (q.cols() != 2 * s || (q.rows() != dim && q.rows() != 2 * s))
+    throw std::invalid_argument(
+        "SplitSolve::solve: Q must be dim x 2s or 2s x 2s");
   const idx m = b_top.cols();
+  const idx bot = q.rows() - s;  // first row of Q's (and x's) last block row
   parallel::TraceScope trace("postprocess", /*device_id=*/-1);
 
   // b' = stacked non-zero rows of b.
@@ -76,7 +81,7 @@ CMatrix SplitSolve::solve_with_q(const CMatrix& q, idx dim, idx s,
   // C has Sigma_L in its top-left and Sigma_R in its bottom-right corner, so
   // C M = [Sigma_L * M_toprows; Sigma_R * M_botrows] for any M.
   const CMatrix q_top = q.block(0, 0, s, 2 * s);
-  const CMatrix q_bot = q.block(dim - s, 0, s, 2 * s);
+  const CMatrix q_bot = q.block(bot, 0, s, 2 * s);
   CMatrix cq(2 * s, 2 * s);
   cq.set_block(0, 0, numeric::matmul(sigma_l, q_top));
   cq.set_block(s, 0, numeric::matmul(sigma_r, q_bot));
@@ -85,7 +90,7 @@ CMatrix SplitSolve::solve_with_q(const CMatrix& q, idx dim, idx s,
 
   CMatrix cy(2 * s, m);
   cy.set_block(0, 0, numeric::matmul(sigma_l, y.block(0, 0, s, m)));
-  cy.set_block(s, 0, numeric::matmul(sigma_r, y.block(dim - s, 0, s, m)));
+  cy.set_block(s, 0, numeric::matmul(sigma_r, y.block(bot, 0, s, m)));
   const CMatrix z = numeric::solve(r, cy);
 
   // Step 4: x = Q (b' + z).

@@ -10,6 +10,13 @@
 // lets the OBC solve (FEAST, on CPUs) overlap with the heavy GPU work.
 // Steps 2-4 are cheap once Sigma and Inj arrive:
 //   y = Q b',   R = 1 - C Q,   z = R^{-1} C y,   x = Q (b' + z).
+//
+// Every step is row-local in Q: R reads only Q's first and last block rows,
+// and row i of x is row i of Q times (b' + z).  A transmission-only request
+// (no density, no bond currents) therefore keeps only Q's first and last
+// block rows (RowSet::kEnds: Q is 2s x 2s, see spike.hpp) and gets back only
+// x's first and last block rows (2s x m) — the Caroli G_1N and psi_last —
+// bitwise equal to those rows of the full solve.
 #pragma once
 
 #include <future>
@@ -40,28 +47,34 @@ class SplitSolve {
  public:
   /// Launches Step 1 (Q = A^{-1} B) asynchronously on `pool`'s devices, the
   /// spatial ranks, or (with neither) a host thread.  `a` must be E*S - H
-  /// *without* boundary self-energies and must outlive Step 1.
+  /// *without* boundary self-energies and must outlive Step 1.  `rows`
+  /// selects the block rows of Q (and so of x) to keep; the spatial route
+  /// always computes every row.
   SplitSolve(const BlockTridiag& a, parallel::DevicePool* pool,
-             SplitSolveOptions options = {});
+             SplitSolveOptions options = {}, RowSet rows = RowSet::kAll);
 
   /// Back-compat convenience: pool by reference.
   SplitSolve(const BlockTridiag& a, parallel::DevicePool& pool,
-             SplitSolveOptions options = {})
-      : SplitSolve(a, &pool, options) {}
+             SplitSolveOptions options = {}, RowSet rows = RowSet::kAll)
+      : SplitSolve(a, &pool, options, rows) {}
 
-  /// Block until Step 1 finishes; returns Q (dim x 2s).
+  /// Block until Step 1 finishes; returns Q (dim x 2s, or 2s x 2s for
+  /// RowSet::kEnds).
   const numeric::CMatrix& preprocessed_q();
 
   /// Steps 2-4.  `b_top` (s x m) and `b_bottom` (s x m) are the non-zero
   /// block rows of the sparse right-hand side (injection enters through
-  /// b_top for left-incident carriers).  Returns the full solution x.
+  /// b_top for left-incident carriers).  Returns x with Q's rows: the full
+  /// solution, or its first and last block rows.
   numeric::CMatrix solve(const numeric::CMatrix& sigma_l,
                          const numeric::CMatrix& sigma_r,
                          const numeric::CMatrix& b_top,
                          const numeric::CMatrix& b_bottom);
 
-  /// Steps 2-4 against an externally computed Q = A^{-1} B (dim x 2s with
-  /// block size s).  This is the whole of solve() minus Step 1 — the
+  /// Steps 2-4 against an externally computed Q = A^{-1} B with block size
+  /// s: all of its rows (dim x 2s) or its first and last block rows
+  /// (2s x 2s); x gets the same rows.  Throws std::invalid_argument for any
+  /// other Q shape.  This is the whole of solve() minus Step 1 — the
   /// batched pipeline computes many Qs as one backend dispatch and then
   /// runs this per problem, bit-identical to solve() on the same Q.
   static numeric::CMatrix solve_with_q(const numeric::CMatrix& q,

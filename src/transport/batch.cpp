@@ -168,7 +168,7 @@ std::vector<EnergyPointResult> solve_energy_batch(
       for (std::size_t i = 0; i < n; ++i) systems[i] = &ctx.a[i];
       const parallel::TraceScope trace("batch_device_phase",
                                        /*device_id=*/-1);
-      solver->prepare_batched(systems, backend);
+      solver->prepare_batched(systems, backend, detail::solved_rows(options));
     }
   } catch (...) {
     drain_prefetch();
@@ -259,7 +259,8 @@ std::vector<EnergyPointResult> solve_energy_batch(
       solvable_systems.reserve(solvable.size());
       for (const std::size_t i : solvable)
         solvable_systems.push_back(&ctx.a[i]);
-      solver->prepare_batched(solvable_systems, backend);
+      solver->prepare_batched(solvable_systems, backend,
+                              detail::solved_rows(options));
     }
     xs = solver->solve_boundary_batched(problems, backend);
     if (solvable.size() != n && rhs_known_nonempty) {
@@ -275,7 +276,7 @@ std::vector<EnergyPointResult> solve_energy_batch(
     for (std::size_t j = 0; j < solvable.size(); ++j) {
       const std::size_t i = solvable[j];
       const obc::Boundary& bnd = boundaries[i].get();
-      solver->prepare(ctx.a[i]);
+      solver->prepare(ctx.a[i], detail::solved_rows(options));
       xs[j] = solver->solve_boundary(ctx.a[i], bnd.sigma_l, bnd.sigma_r,
                                     ctx.b_top[i], ctx.b_bot[i]);
     }

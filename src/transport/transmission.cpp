@@ -131,6 +131,11 @@ RhsShape rhs_shape(const obc::Boundary& left, const obc::Boundary& right,
   return shape;
 }
 
+solvers::RowSet solved_rows(const EnergyPointOptions& options) {
+  return options.want_density || options.want_current ? solvers::RowSet::kAll
+                                                      : solvers::RowSet::kEnds;
+}
+
 void build_rhs(CMatrix& b_top, CMatrix& b_bot, const obc::Boundary& left,
                const obc::Boundary& right, const RhsShape& shape, idx sf) {
   b_top.resize(sf, shape.m);
@@ -157,6 +162,9 @@ void finalize_observables(EnergyPointResult& out, const BlockTridiag& a,
   const idx gcols = shape.gcols;
   const idx n_inc = shape.n_inc;
   const idx n_inc_r = shape.n_inc_r;
+  if (x.rows() != a.dim() && solved_rows(options) == solvers::RowSet::kAll)
+    throw std::logic_error(
+        "finalize_observables: density and currents need every row of x");
 
   // --- Caroli transmission from G_{first,last} ---
   if (shape.want_caroli) {
@@ -169,7 +177,7 @@ void finalize_observables(EnergyPointResult& out, const BlockTridiag& a,
   if (have_injection && n_inc > 0) {
     // Transmission: project the last supercell onto the right-bounded mode
     // basis; flux-normalized propagating amplitudes give T.
-    const CMatrix psi_last = x.block(a.dim() - sf, gcols, sf, n_inc);
+    const CMatrix psi_last = x.block(x.rows() - sf, gcols, sf, n_inc);
     // Same ridge as the self-energy construction: one BoundaryOptions
     // governs every pseudo-inverse of the mode basis.
     const CMatrix uplus = obc::pseudo_inverse(
@@ -424,8 +432,8 @@ EnergyPointResult solve_pair(EnergyPointContext& ctx,
   detail::require_injection_support(obc_strategy, have_injection, options);
 
   // kOverlapPrepare backends (SplitSolve Step 1) start work here — before
-  // the boundary conditions exist.
-  solver.prepare(a);
+  // the boundary conditions exist — on the rows the observables read.
+  solver.prepare(a, detail::solved_rows(options));
 
   // --- Open boundary conditions (CPU side, overlapping with Step 1) ---
   const bool shared = contacts.same_boundary(cl, cr);

@@ -119,8 +119,9 @@ struct EnergyPointResult {
 /// workspace pools every matrix buffer allocated while a point is being
 /// solved, and the members cache the large recurring operands (T = E*S - H,
 /// the stacked RHS, the strategy instance with its internal factors), so
-/// after the first point at a given device shape a solve performs no heap
-/// allocations of numeric buffers (see numeric::matrix_heap_allocations).
+/// warm points at a given device shape allocate few numeric buffers — none
+/// for block_lu and bcr with the decimation OBC, the case the tests pin
+/// (see numeric::matrix_heap_allocations).
 /// The pool keys buffers by exact size and keeps the high-water population
 /// of every size it has seen; call workspace.clear() between devices of
 /// very different shapes to bound the footprint.
@@ -318,12 +319,19 @@ RhsShape rhs_shape(const obc::Boundary& left, const obc::Boundary& right,
                    bool have_injection, idx sf,
                    const EnergyPointOptions& options);
 
+/// Block rows of x the observables of `options` read: the first and last
+/// block rows (Caroli G_1N, psi_last) when neither density nor bond
+/// currents are requested, every row otherwise.  Passed to the solver's
+/// prepare so a transmission-only SplitSolve keeps only Q's end rows.
+solvers::RowSet solved_rows(const EnergyPointOptions& options);
+
 /// Stage 3a: assemble the sparse boundary RHS blocks for `shape`.
 void build_rhs(CMatrix& b_top, CMatrix& b_bot, const obc::Boundary& left,
                const obc::Boundary& right, const RhsShape& shape, idx sf);
 
 /// Stage 4: all observables (Caroli + wave-function transmission, density,
-/// currents) from the solved block columns `x`.
+/// currents) from the solved block columns `x`: all of its rows, or — for a
+/// solved_rows() == kEnds request — its first and last block rows only.
 void finalize_observables(EnergyPointResult& out, const BlockTridiag& a,
                           const obc::Boundary& left, const obc::Boundary& right,
                           bool have_injection, const RhsShape& shape,

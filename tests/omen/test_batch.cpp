@@ -11,8 +11,11 @@
 
 #include "dft/hamiltonian.hpp"
 #include "numeric/blas.hpp"
+#include "numeric/flops.hpp"
+#include "obc/boundary_cache.hpp"
 #include "omen/engine.hpp"
 #include "omen/simulator.hpp"
+#include "parallel/device.hpp"
 #include "transport/bands.hpp"
 
 namespace df = omenx::dft;
@@ -250,4 +253,91 @@ TEST(EngineBatch, ChargeBitIdenticalBatchedVsUnbatchedAcrossWorlds) {
     for (std::size_t c = 0; c < charge.size(); ++c)
       EXPECT_EQ(charge[c], ref[c]) << "ranks=" << ranks << " cell " << c;
   }
+}
+
+TEST(EngineBatch, SplitSolveTransmissionOnlyMatchesFullPathBitwise) {
+  // A transmission-only sweep (no density, no currents) keeps only the end
+  // block rows of SplitSolve's Q and x.  On a barrier wire its T and Caroli
+  // T must equal the full-row path bit for bit, whether the sweep runs
+  // batched (Step 1 on backend lanes) or unbatched (Step 1 on the device
+  // pool), and the truncation must actually cut the work.
+  const idx cells = 32;
+  lt::Structure st;
+  st.cell_atoms = {{lt::Species::kLi, {0.0, 0.0, 0.0}}};
+  st.cell_length = 0.5;
+  st.num_cells = cells;
+  st.name = "splitsolve barrier chain";
+
+  om::SimulationConfig cfg;
+  cfg.structure = st;
+  cfg.build.cutoff_nm = 1.0;
+  cfg.point.obc = tr::ObcAlgorithm::kShiftInvert;
+  cfg.point.solver = tr::SolverAlgorithm::kSplitSolve;
+  cfg.point.partitions = 2;
+  cfg.num_devices = 2;
+  om::Simulator sim(cfg);
+
+  const auto window = tr::band_window(sim.bands(9));
+  std::vector<double> grid;
+  for (double e = window.emin + 0.03; e < window.emax; e += 0.25)
+    grid.push_back(e);
+  ASSERT_GE(grid.size(), 4u);
+  std::vector<double> barrier(static_cast<std::size_t>(cells), 0.0);
+  for (idx c = 12; c < 20; ++c) barrier[static_cast<std::size_t>(c)] = 0.3;
+
+  const std::vector<df::LeadBlocks> leads{sim.lead_blocks(0)};
+  const std::vector<df::FoldedLead> folded{sim.folded_lead(0)};
+  om::SweepRequest req;
+  req.leads = &leads;
+  req.folded = &folded;
+  req.cells = cells;
+  req.potential = barrier;
+  req.point = cfg.point;
+  req.point.want_density = false;
+  req.point.want_current = false;
+  req.energies = {grid};
+
+  omenx::parallel::DevicePool pool(2);
+  om::EngineConfig ucfg;
+  ucfg.batch_tasks = false;
+  ucfg.cache_boundaries = false;
+  const auto unbatched = om::Engine(ucfg, &pool).run(req);
+  EXPECT_EQ(unbatched.stats.batches_issued, 0);
+  om::EngineConfig bcfg;
+  bcfg.max_batch = 3;
+  bcfg.cache_boundaries = false;
+  const auto batched = om::Engine(bcfg, &pool).run(req);
+  EXPECT_GT(batched.stats.batches_issued, 0);
+  expect_same_spectra(batched, unbatched, "T-only batched vs unbatched");
+
+  for (std::size_t ie = 0; ie < grid.size(); ++ie) {
+    // solve_point runs the simulator's full-observable options: every row.
+    const tr::EnergyPointResult full = sim.solve_point(grid[ie], &barrier);
+    ASSERT_FALSE(full.interface_current.empty());
+    EXPECT_EQ(unbatched.transmission[0][ie], full.transmission) << ie;
+    EXPECT_EQ(unbatched.caroli[0][ie], full.transmission_caroli) << ie;
+    EXPECT_EQ(unbatched.propagating[0][ie], full.num_propagating) << ie;
+  }
+
+  // Flops of one point with a warm boundary cache (no OBC work counted).
+  // The current-carrying point solves the same right-hand-side columns on
+  // every row, so the bound isolates the row truncation.
+  const df::DeviceMatrices dm =
+      df::assemble_device(leads[0], cells, barrier);
+  omenx::obc::BoundaryCache cache;
+  tr::EnergyPointContext ctx;
+  const auto point_flops = [&](bool want_current) {
+    tr::EnergyPointOptions opts = req.point;
+    opts.want_current = want_current;
+    opts.boundary_cache = &cache;
+    const nm::FlopScope flops;
+    tr::solve_energy_point(ctx, dm, leads[0], folded[0], grid[1], opts, &pool);
+    return static_cast<double>(flops.elapsed());
+  };
+  point_flops(true);  // fills the cache
+  const double full_flops = point_flops(true);
+  const double t_only_flops = point_flops(false);
+  EXPECT_GT(t_only_flops, 0.0);
+  EXPECT_LE(t_only_flops, 0.6 * full_flops)
+      << t_only_flops << " vs " << full_flops;
 }

@@ -3,6 +3,8 @@
 // SplitSolve against the explicit (A - BC) system of Fig. 4.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "blockmat/block_tridiag.hpp"
 #include "numeric/blas.hpp"
 #include "numeric/lu.hpp"
@@ -307,3 +309,100 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeParam{8, 2, 4}, ShapeParam{12, 3, 4},
                       ShapeParam{16, 2, 8}, ShapeParam{9, 4, 2},
                       ShapeParam{32, 2, 8}));
+
+// Transmission-only SplitSolve (RowSet::kEnds): Step 1 keeps only Q's first
+// and last block rows, Steps 2-4 return only x's.  Those rows must equal
+// the full path's bit for bit, on every Step 1 route (host, pool,
+// SplitSolve's own launch) and for every partition layout.
+namespace {
+
+void expect_end_rows_equal(const CMatrix& full, const CMatrix& ends, idx s,
+                           const char* what) {
+  ASSERT_EQ(ends.rows(), 2 * s) << what;
+  ASSERT_EQ(ends.cols(), full.cols()) << what;
+  const idx bot = full.rows() - s;
+  for (idx r = 0; r < s; ++r)
+    for (idx c = 0; c < full.cols(); ++c) {
+      EXPECT_EQ(ends(r, c), full(r, c)) << what << " top row " << r;
+      EXPECT_EQ(ends(s + r, c), full(bot + r, c)) << what << " bottom row "
+                                                  << r;
+    }
+}
+
+}  // namespace
+
+TEST(SplitSolve, EndRowsMatchFullSolveBitwise) {
+  // Partition counts 1, 2, 4; an uneven split (11 blocks over 4: sizes
+  // 2,3,3,3); nb == p (every partition a single block, whose top and bottom
+  // rows coincide); a single-block system.
+  const ShapeParam shapes[] = {{8, 3, 1}, {8, 3, 2},  {8, 3, 4},
+                               {11, 2, 4}, {4, 2, 4}, {1, 3, 1}};
+  for (const auto& [nb, s, p] : shapes) {
+    SCOPED_TRACE("nb=" + std::to_string(nb) + " s=" + std::to_string(s) +
+                 " p=" + std::to_string(p));
+    const auto a = random_system(nb, s, 400 + static_cast<unsigned>(nb * s));
+    sv::SpikeOptions so;
+    so.partitions = p;
+    pp::DevicePool pool(2);
+
+    // Step 1 on each route.
+    const CMatrix q_full = sv::spike_block_columns(a, so);
+    expect_end_rows_equal(
+        q_full, sv::spike_block_columns(a, so, sv::RowSet::kEnds), s,
+        "host Q");
+    expect_end_rows_equal(
+        sv::spike_block_columns(a, pool, so),
+        sv::spike_block_columns(a, pool, so, sv::RowSet::kEnds), s,
+        "pool Q");
+
+    // Steps 2-4, with m = 2s (Caroli columns only) and m = 2s + 3
+    // (injection columns too).
+    const CMatrix sigma_l = nm::random_cmatrix(s, s, 94) * cplx{0.25};
+    const CMatrix sigma_r = nm::random_cmatrix(s, s, 95) * cplx{0.25};
+    for (const idx n_inc : {idx{0}, idx{3}}) {
+      CMatrix b_top(s, 2 * s + n_inc), b_bot(s, 2 * s + n_inc);
+      for (idx i = 0; i < s; ++i) {
+        b_top(i, i) = cplx{1.0};
+        b_bot(i, s + i) = cplx{1.0};
+      }
+      b_top.set_block(0, 2 * s, nm::random_cmatrix(s, n_inc, 96));
+      sv::SplitSolve full(a, pool, {.partitions = p});
+      sv::SplitSolve ends(a, pool, {.partitions = p}, sv::RowSet::kEnds);
+      expect_end_rows_equal(full.preprocessed_q(), ends.preprocessed_q(), s,
+                            "SplitSolve Q");
+      const CMatrix x_full = full.solve(sigma_l, sigma_r, b_top, b_bot);
+      expect_end_rows_equal(x_full, ends.solve(sigma_l, sigma_r, b_top, b_bot),
+                            s, "SplitSolve x");
+      // The batched pipeline's entry: Steps 2-4 on an end-row Q.
+      expect_end_rows_equal(
+          x_full,
+          sv::SplitSolve::solve_with_q(
+              sv::spike_block_columns(a, so, sv::RowSet::kEnds), a.dim(), s,
+              sigma_l, sigma_r, b_top, b_bot),
+          s, "solve_with_q x");
+    }
+  }
+}
+
+TEST(SplitSolve, SolveWithQRejectsMisshapenQ) {
+  // Q is read through Matrix::block, which only asserts: a wrong shape
+  // must be an exception, not an out-of-bounds read.
+  const auto a = random_system(6, 2, 21);
+  const idx s = 2;
+  const CMatrix sigma = nm::random_cmatrix(s, s, 97) * cplx{0.1};
+  const CMatrix b_top = nm::random_cmatrix(s, 3, 98);
+  const CMatrix b_bot = nm::random_cmatrix(s, 3, 99);
+  const auto solve = [&](const CMatrix& q) {
+    return sv::SplitSolve::solve_with_q(q, a.dim(), s, sigma, sigma, b_top,
+                                        b_bot);
+  };
+  const CMatrix q = sv::rgf_block_columns(a);
+  EXPECT_EQ(solve(q).rows(), a.dim());
+  EXPECT_EQ(solve(q.block(0, 0, 2 * s, 2 * s)).rows(), 2 * s);
+  EXPECT_THROW(solve(q.block(0, 0, a.dim(), s)), std::invalid_argument);
+  EXPECT_THROW(solve(q.block(0, 0, a.dim() - s, 2 * s)),
+               std::invalid_argument);
+  EXPECT_THROW(solve(q.block(0, 0, s, 2 * s)), std::invalid_argument);
+  EXPECT_THROW(solve(CMatrix(a.dim() + s, 2 * s)), std::invalid_argument);
+  EXPECT_THROW(solve(CMatrix()), std::invalid_argument);
+}
